@@ -151,14 +151,6 @@ class Contour:
         if dmin < tol * max(1.0, float(np.max(np.abs(values)))):
             raise SpectrumProximityError(f"contour node within {dmin:.3e} of the spectrum")
 
-    def integrate(self, g: Callable[[complex], np.ndarray]) -> np.ndarray:
-        """sum_k w_k g(z_k), in fixed node order."""
-        acc = None
-        for z, w in zip(self.nodes, self.weights):
-            val = w * g(z)
-            acc = val if acc is None else acc + val
-        return acc
-
 
 # ---------------------------------------------------------------------------
 # parametrix
@@ -372,9 +364,10 @@ def dunford_riesz(model: ModelProblem, a: Symbol, F: Callable, contour: Contour,
                            rho=a.rho, delta=a.delta, name=f"F[{a.name}]")
 
     tab = a.table(model, 0)
-    lead_tab = -sign / (2j * np.pi) * np.einsum(
-        "k,kij->ij", contour.weights * Fz, 1.0 / (tab[None, :, :] - contour.nodes[:, None, None]),
-        optimize=True)
+    lead_tab = np.zeros_like(tab)
+    for z, wf in zip(contour.nodes, contour.weights * Fz):
+        lead_tab += wf / (tab - z)
+    lead_tab *= -sign / (2j * np.pi)
     lead = Symbol.from_table(model, lead_tab, 0, order=sym.order, rho=a.rho,
                              delta=a.delta, name=f"F[{a.name}]_leading")
     return FunctionalCalculusResult(symbol=sym, leading_term=lead, orientation=sign)

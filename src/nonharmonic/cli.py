@@ -6,7 +6,7 @@ Command shape:
     nonharmonic report --registry PATH
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 invalid config,
-3 numerical guard tripped.
+3 numerical guard tripped (floating-point overflow inside a task included).
 
 Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
@@ -486,24 +486,17 @@ def run(config_path: str, out_dir: str = None, seed: int = None) -> int:
         spec = ModelSpec(kind=mdl_block["kind"], N=mdl_block["N"], Q=mdl_block["Q"],
                          h=mdl_block.get("h"), m=mdl_block.get("m"))
         model = build_model(spec)
+        if seed is None:
+            seed = int(config.get("seed", 0))
+        out = Path(out_dir or config.get("out_dir", "runs"))
+        out.mkdir(parents=True, exist_ok=True)
+        task = config["task"]
+        passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
     except ConfigurationError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-
-    if seed is None:
-        seed = int(config.get("seed", 0))
-    out = Path(out_dir or config.get("out_dir", "runs"))
-    out.mkdir(parents=True, exist_ok=True)
-
-    task = config["task"]
-    params = config.get("params", {})
-    try:
-        passed, summary, artifacts = _RUNNERS[task](model, params, seed)
-    except ConfigurationError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    except GUARD_ERRORS as exc:
-        print(f"error: numerical guard tripped: {exc}", file=sys.stderr)
+    except GUARD_ERRORS + (OverflowError, FloatingPointError) as exc:
+        print(f"error: numerical guard tripped: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     digest = config_digest(config, seed)

@@ -14,7 +14,7 @@ backward Euler (order 1), and Picard iteration of the integral equation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,13 +77,6 @@ def _norms_of(model: ModelProblem, coeffs: np.ndarray, gram: np.ndarray) -> np.n
     return np.sqrt(np.maximum(vals.real, 0.0))
 
 
-def _solve(Amat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(Amat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SpectrumProximityError(f"time-step system has condition estimate {cond:.3e}")
-    return np.linalg.solve(Amat, rhs)
-
-
 def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
     """Integrate the problem and return the coefficient trajectory."""
     prob.validate(model)
@@ -92,9 +85,23 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
     times = np.linspace(0.0, prob.T, prob.steps + 1)
     gram = coefficient_gram(model)
     eye = np.eye(n)
+    step_mats = {}  # c -> (Galerkin array, eye + c M): the last one per coefficient
 
     def mat(t: float) -> np.ndarray:
         return galerkin_matrix(model, prob.symbol_factory(t)).matrix
+
+    def step_matrix(t: float, c: float, guard: bool) -> np.ndarray:
+        """eye + c M(t), built and condition-checked once per Galerkin array."""
+        M = mat(t)
+        if c not in step_mats or step_mats[c][0] is not M:
+            A = eye + c * M
+            if guard:
+                cond = np.linalg.cond(A)
+                if not np.isfinite(cond) or cond > 1e12:
+                    raise SpectrumProximityError(
+                        f"time-step system has condition estimate {cond:.3e}")
+            step_mats[c] = (M, A)
+        return step_mats[c][1]
 
     def fhat(t: float) -> np.ndarray:
         if prob.forcing is None:
@@ -107,15 +114,13 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
 
     if prob.scheme == "crank_nicolson":
         for k in range(prob.steps):
-            M0 = mat(times[k])
-            M1 = mat(times[k + 1])
-            rhs = (eye + 0.5 * dt * M0) @ coeffs[k] + dt * fhat(times[k] + 0.5 * dt)
-            coeffs[k + 1] = _solve(eye - 0.5 * dt * M1, rhs)
+            explicit = step_matrix(times[k], 0.5 * dt, guard=False)
+            rhs = explicit @ coeffs[k] + dt * fhat(times[k] + 0.5 * dt)
+            coeffs[k + 1] = np.linalg.solve(step_matrix(times[k + 1], -0.5 * dt, guard=True), rhs)
     elif prob.scheme == "backward_euler":
         for k in range(prob.steps):
-            M1 = mat(times[k + 1])
             rhs = coeffs[k] + dt * fhat(times[k + 1])
-            coeffs[k + 1] = _solve(eye - dt * M1, rhs)
+            coeffs[k + 1] = np.linalg.solve(step_matrix(times[k + 1], -dt, guard=True), rhs)
     else:  # picard
         mats = np.stack([mat(t) for t in times])
         fs = np.stack([fhat(t) for t in times])
@@ -224,22 +229,12 @@ def uniqueness_probe(model: ModelProblem, prob: EvolutionProblem, scale: float =
     t2 = solve_ivp(model, prob)
     bitwise = bool(np.array_equal(t1.coeffs, t2.coeffs))
 
-    hom = EvolutionProblem(symbol_factory=prob.symbol_factory,
-                           u0=np.zeros(model.Q, dtype=complex),
-                           T=prob.T, steps=prob.steps, scheme=prob.scheme,
-                           forcing=None, order_m=prob.order_m,
-                           ellipticity_gate=prob.ellipticity_gate)
-    hom_traj = solve_ivp(model, hom)
+    hom_traj = solve_ivp(model, replace(prob, u0=np.zeros(model.Q, dtype=complex), forcing=None))
     hom_max = float(np.max(hom_traj.norms))
 
     rng = np.random.default_rng(seed)
     bump = rng.standard_normal(model.Q) + 1j * rng.standard_normal(model.Q)
-    pert = EvolutionProblem(symbol_factory=prob.symbol_factory,
-                            u0=prob.u0 + scale * bump,
-                            T=prob.T, steps=prob.steps, scheme=prob.scheme,
-                            forcing=prob.forcing, order_m=prob.order_m,
-                            ellipticity_gate=prob.ellipticity_gate)
-    t3 = solve_ivp(model, pert)
+    t3 = solve_ivp(model, replace(prob, u0=prob.u0 + scale * bump))
     gram = coefficient_gram(model)
     diff = _norms_of(model, t3.coeffs - t1.coeffs, gram)
     bump_norm = _norms_of(model, (fourier(model, bump).values)[None, :], gram)[0]

@@ -113,10 +113,15 @@ def kernel_apply(model: ModelProblem, K: KernelTable, f: np.ndarray) -> np.ndarr
 
 
 def galerkin_matrix(model: ModelProblem, sym: Symbol) -> GalerkinMatrix:
-    """Matrix of Op(a) in the biorthogonal basis."""
-    tab = sym.table(model, 0)
-    M = np.einsum("ey,y,ky,ky->ek", model.v.conj(), model.w, model.u, tab, optimize=True)
-    return GalerkinMatrix(matrix=M, provenance=sym.name)
+    """Matrix of Op(a) in the biorthogonal basis, cached per symbol and model.
+    The cached array is read-only, so no caller can corrupt the cache."""
+    key = ("galerkin", model.token)
+    if key not in sym._cache:
+        M = np.einsum("ey,y,ky,ky->ek", model.v.conj(), model.w, model.u,
+                      sym.table(model, 0), optimize=True)
+        M.flags.writeable = False
+        sym._cache[key] = M
+    return GalerkinMatrix(matrix=sym._cache[key], provenance=sym.name)
 
 
 def adjoint_galerkin(model: ModelProblem, M: GalerkinMatrix) -> np.ndarray:

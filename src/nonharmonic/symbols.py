@@ -120,6 +120,8 @@ class Symbol:
     grid samples for a single integer index and is valid on any index
     (margin None); table-backed symbols carry samples over the window
     {-N-margin, ..., N+margin} of the model they were built from.
+    A symbol must not be mutated once evaluated: its tables and Galerkin
+    matrices are cached per model, and a cached value would go stale.
     """
 
     fn: Optional[Callable] = None

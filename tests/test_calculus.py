@@ -206,6 +206,23 @@ def test_dunford_riesz_leading_term_matches_for_multiplier(torus):
     assert diff <= 1e-10
 
 
+def test_dunford_riesz_leading_term_matches_einsum_form(hmodel):
+    # the leading term is accumulated node by node; the (nodes, 2N+1, Q)
+    # einsum it replaces is the oracle
+    a = make_symbol("x_modulated_bracket", power=2.0)
+    contour = Contour.default_keyhole(hmodel, a, nodes_per_segment=25)
+    tab = a.table(hmodel, 0)
+    for name in ("inverse", "inverse_sqrt"):
+        F, s = make_scalar_function(name)
+        res = dunford_riesz(hmodel, a, F, contour, decay_exponent=s)
+        Fz = np.asarray(F(contour.nodes), dtype=complex)
+        oracle = -res.orientation / (2j * np.pi) * np.einsum(
+            "k,kij->ij", contour.weights * Fz,
+            1.0 / (tab[None, :, :] - contour.nodes[:, None, None]), optimize=True)
+        got = res.leading_term.table(hmodel, 0)
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
 def test_dunford_riesz_zero_function(torus):
     a = make_symbol("bracket_power", power=2.0)
     F, s = make_scalar_function("zero")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -53,6 +54,33 @@ def test_numerical_guard_exits_3(tmp_path):
                                   "params": {"symbol": {"name": "constant", "value": 0.0},
                                              "order": 2.0}})
     assert run(cfg, out_dir=str(tmp_path / "out")) == 3
+
+
+def test_floating_point_overflow_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "funcalc",
+                                  "params": {"symbol": {"name": "bracket_power", "power": 400}}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical guard tripped: OverflowError")
+    assert len(err.splitlines()) == 1
+
+
+def test_thread_cap_set_before_numpy_loads():
+    script = "\n".join([
+        "import os, sys",
+        "import nonharmonic.cli as cli",
+        "assert 'numpy' not in sys.modules",
+        "cli._setup_threads()",
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'",
+        "assert 'numpy' not in sys.modules",
+    ])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["NONHARMONIC_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_csv_determinism_and_roundtrip_digits(tmp_path):

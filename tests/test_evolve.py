@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from nonharmonic.errors import ConfigurationError, EllipticityError, PicardDivergenceError
+from nonharmonic.errors import (ConfigurationError, EllipticityError, PicardDivergenceError,
+                                SpectrumProximityError)
 from nonharmonic.evolve import (EvolutionProblem, energy_check, residual, solve_ivp,
                                 uniqueness_probe)
 from nonharmonic.model import ModelSpec, build_model
 from nonharmonic.symbols import Symbol, make_symbol
+from nonharmonic.transform import fourier
 
 
 def neg_laplace_symbol():
@@ -142,3 +144,79 @@ def test_residual_orders(torus):
         prob = dissipative_problem(torus, scheme="backward_euler", steps=steps)
         medb[steps] = np.median(residual(torus, prob, solve_ivp(torus, prob)))
     assert medb[200] / medb[400] == pytest.approx(2.0, rel=0.2)
+
+
+# ---------------------------------------------------------------------------
+# step matrices and guard built once per Galerkin array
+# ---------------------------------------------------------------------------
+
+def per_step_reference(model, prob):
+    """Crank-Nicolson / backward Euler with a fresh Galerkin build, condition
+    check and solve on every step: the form the cached step matrices replace."""
+    n = len(model.indices)
+    dt = prob.T / prob.steps
+    times = np.linspace(0.0, prob.T, prob.steps + 1)
+    eye = np.eye(n)
+
+    def fresh_galerkin(t):
+        tab = prob.symbol_factory(t).table(model, 0)
+        return np.einsum("ey,y,ky,ky->ek", model.v.conj(), model.w, model.u, tab, optimize=True)
+
+    def guarded_solve(A, rhs):
+        cond = np.linalg.cond(A)
+        assert np.isfinite(cond) and cond <= 1e12
+        return np.linalg.solve(A, rhs)
+
+    coeffs = np.zeros((prob.steps + 1, n), dtype=complex)
+    coeffs[0] = fourier(model, prob.u0).values
+    for k in range(prob.steps):
+        if prob.scheme == "crank_nicolson":
+            f_half = fourier(model, prob.forcing(times[k] + 0.5 * dt)).values
+            rhs = (eye + 0.5 * dt * fresh_galerkin(times[k])) @ coeffs[k] + dt * f_half
+            coeffs[k + 1] = guarded_solve(eye - 0.5 * dt * fresh_galerkin(times[k + 1]), rhs)
+        else:
+            rhs = coeffs[k] + dt * fourier(model, prob.forcing(times[k + 1])).values
+            coeffs[k + 1] = guarded_solve(eye - dt * fresh_galerkin(times[k + 1]), rhs)
+    return coeffs
+
+
+@pytest.mark.parametrize("model_name", ["torus_derivative", "h_derivative_2"])
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
+def test_constant_generator_matches_per_step_reference(models, model_name, scheme):
+    model = models[model_name]
+    base = make_symbol("x_modulated_bracket", power=2.0)
+    gen = Symbol(fn=lambda x, xi, lam, br: -base.fn(x, xi, lam, br), order=2.0, name="-K")
+    forcing_row = model.u_row(2)
+    prob = EvolutionProblem(symbol_factory=lambda t: gen, u0=model.u_row(1), T=0.1, steps=40,
+                            scheme=scheme, forcing=lambda t: np.cos(t) * forcing_row,
+                            order_m=2.0)
+    traj = solve_ivp(model, prob)
+    assert np.array_equal(traj.coeffs, per_step_reference(model, prob))
+
+
+def test_condition_guard_runs_once_per_galerkin_array(torus, monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda A: calls.append(1) or cond(A))
+    gen = neg_laplace_symbol()
+    for scheme in ("crank_nicolson", "backward_euler"):
+        calls.clear()
+        solve_ivp(torus, EvolutionProblem(symbol_factory=lambda t: gen, u0=torus.u_row(1),
+                                          T=0.1, steps=20, scheme=scheme, order_m=2.0))
+        assert len(calls) == 1
+    calls.clear()
+    solve_ivp(torus, dissipative_problem(torus, steps=20))  # a new symbol every call
+    assert len(calls) == 20
+
+
+def test_time_step_guard_trips_on_singular_system(torus):
+    # the generator is 2/dt on one mode, so eye - (dt/2) M is singular there
+    T, steps = 0.1, 50
+    dt = T / steps
+    gen = Symbol(fn=lambda x, xi, lam, br: np.full_like(x, 2.0 / dt if xi == 3 else 0.0,
+                                                          dtype=complex),
+                 order=0.0, name="2/dt on mode 3")
+    prob = EvolutionProblem(symbol_factory=lambda t: gen, u0=torus.u_row(1), T=T, steps=steps,
+                            scheme="crank_nicolson", ellipticity_gate="off")
+    with pytest.raises(SpectrumProximityError):
+        solve_ivp(torus, prob)

@@ -214,3 +214,16 @@ def test_symbol_of_matrix_inverts_galerkin(torus):
     mask = inner_window(torus, 0.5)
     scale = float(np.max(np.abs(sym.table(torus, 0))))
     assert np.max(np.abs((back - sym.table(torus, 0))[mask])) / scale <= 1e-11
+
+
+def test_galerkin_matrix_cached_read_only(torus, hmodel):
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    M = galerkin_matrix(torus, sym).matrix
+    assert galerkin_matrix(torus, sym).matrix is M
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
+    assert galerkin_matrix(hmodel, sym).matrix is not M  # cached per model
+    fresh = galerkin_matrix(torus, make_symbol("x_modulated_bracket", power=1.0)).matrix
+    assert fresh is not M
+    assert np.array_equal(fresh, M)
