@@ -23,8 +23,8 @@ from .errors import (BranchCutError, ConfigurationError, EllipticityError,
                      SpectrumProximityError)
 from .model import ModelProblem
 from .quantize import galerkin_matrix, symbol_of_matrix
-from .symbols import (AdmissibleFamily, DEFAULT_MARGIN, Symbol, apply_D,
-                      apply_Delta, default_family)
+from .symbols import (AdmissibleFamily, Symbol, apply_D, apply_Delta, default_family,
+                      trim_window)
 
 # ---------------------------------------------------------------------------
 # contours
@@ -60,14 +60,8 @@ class Contour:
     integral is just sum_k weights[k] * g(nodes[k]).
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    eps: Optional[float] = None
-    R: Optional[float] = None
-    theta: Optional[float] = None
-    orientation: int = +1
-    nodes_per_segment: int = 100
 
     @classmethod
     def keyhole_negative_axis(cls, R: float, eps: float = 0.1,
@@ -104,10 +98,8 @@ class Contour:
         segs.append(_gauss_segment(lambda t: R * np.exp(1j * t),
                                    lambda t: 1j * R * np.exp(1j * t),
                                    -phi, phi, n, 8))
-        nodes = np.concatenate([s[0] for s in segs])
-        weights = np.concatenate([s[1] for s in segs])
-        return cls(kind="keyhole_negative_axis", nodes=nodes, weights=weights,
-                   eps=eps, R=R, theta=theta, nodes_per_segment=nodes_per_segment)
+        return cls(nodes=np.concatenate([s[0] for s in segs]),
+                   weights=np.concatenate([s[1] for s in segs]))
 
     @classmethod
     def circle(cls, center: complex, radius: float, n: int = 200) -> "Contour":
@@ -117,7 +109,7 @@ class Contour:
         z, w = _gauss_segment(lambda t: center + radius * np.exp(1j * t),
                               lambda t: 1j * radius * np.exp(1j * t),
                               0.0, 2.0 * math.pi, n, 2)
-        return cls(kind="circle", nodes=z, weights=w, R=radius)
+        return cls(nodes=z, weights=w)
 
     @classmethod
     def polyline(cls, vertices: Sequence[complex], n_per_edge: int = 50) -> "Contour":
@@ -132,8 +124,7 @@ class Contour:
                                   0.0, 1.0, n_per_edge, 1)
             zs.append(z)
             ws.append(w)
-        return cls(kind="custom_polyline", nodes=np.concatenate(zs),
-                   weights=np.concatenate(ws))
+        return cls(nodes=np.concatenate(zs), weights=np.concatenate(ws))
 
     @classmethod
     def default_keyhole(cls, model: ModelProblem, sym: Symbol,
@@ -163,7 +154,7 @@ class ParametrixResult:
     terms: list = field(default_factory=list)
 
 
-def _invert_table(model: ModelProblem, tab: np.ndarray, what: str) -> np.ndarray:
+def _invert_table(tab: np.ndarray, what: str) -> np.ndarray:
     if np.min(np.abs(tab)) < 1e-12:
         raise EllipticityError(f"{what}: symbol value within 1e-12 of zero; not invertible")
     return 1.0 / tab
@@ -181,8 +172,7 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
     cancels the next order of sigma(Op(a)Op(B)) - 1 exactly.
     """
     family = family or default_family()
-    avail = a.available_margin(model)
-    margin = DEFAULT_MARGIN if avail is None else avail
+    margin = a.available_margin(model)
     out_margin = margin - n_terms
     if out_margin < 0:
         raise EllipticityError(
@@ -191,14 +181,10 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
     a_tab = a.table(model, margin)
     off_all = model.N + margin
     br_all = model.bracket_val(np.arange(-off_all, off_all + 1))
-    inv_tab = _invert_table(model, a_tab, "parametrix precheck")
+    inv_tab = _invert_table(a_tab, "parametrix precheck")
     ell_sup = float(np.max(np.abs(inv_tab) * (br_all**m)[:, None]))
     if not np.isfinite(ell_sup):
         raise EllipticityError("ellipticity sup is not finite")
-
-    def trim(tab: np.ndarray, from_margin: int, to_margin: int) -> np.ndarray:
-        off = from_margin - to_margin
-        return tab[off: tab.shape[0] - off] if off else tab
 
     # B_k tables at margin (margin - k); deltas of a cached per order
     b_tables = [inv_tab]
@@ -217,14 +203,14 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
             DBk = apply_D(model, Bk, g, family)
             term = delta_a[g].table(model, tgt_margin) * DBk.table(model, tgt_margin)
             acc += term / math.factorial(g)
-        inv_here = trim(inv_tab, margin, tgt_margin)
+        inv_here = trim_window(inv_tab, margin, tgt_margin)
         b_tables.append(-inv_here * acc)
         b_margins.append(tgt_margin)
 
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     terms = []
     for k, (tab, mk) in enumerate(zip(b_tables, b_margins)):
-        cut = trim(tab, mk, out_margin)
+        cut = trim_window(tab, mk, out_margin)
         total += cut
         terms.append(Symbol.from_table(model, cut.copy(), out_margin,
                                        order=-m - (rho - delta) * k, rho=rho,
@@ -376,9 +362,8 @@ def dunford_riesz(model: ModelProblem, a: Symbol, F: Callable, contour: Contour,
 def fractional_power_symbol(model: ModelProblem, a: Symbol, s: complex,
                             margin: Optional[int] = None) -> Symbol:
     """Pointwise principal power exp(s log a) of a positive-real-part symbol."""
-    avail = a.available_margin(model)
     if margin is None:
-        margin = DEFAULT_MARGIN if avail is None else avail
+        margin = a.available_margin(model)
     tab = a.table(model, margin)
     on_cut = (tab.real <= 0) & (np.abs(tab.imag) < 1e-14 * np.maximum(1.0, np.abs(tab.real)))
     if np.any(on_cut):

@@ -72,9 +72,21 @@ class Trajectory:
     picard_iterations: int = 0
 
 
-def _norms_of(model: ModelProblem, coeffs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def _norms_of(coeffs: np.ndarray, gram: np.ndarray) -> np.ndarray:
     vals = np.einsum("ki,ij,kj->k", coeffs.conj(), gram, coeffs, optimize=True)
     return np.sqrt(np.maximum(vals.real, 0.0))
+
+
+def _generator(model: ModelProblem, prob: EvolutionProblem, t: float) -> np.ndarray:
+    """Galerkin matrix of K(t)."""
+    return galerkin_matrix(model, prob.symbol_factory(t)).matrix
+
+
+def _forcing(model: ModelProblem, prob: EvolutionProblem, t: float) -> np.ndarray:
+    """Coefficients of f(t); zero without forcing."""
+    if prob.forcing is None:
+        return np.zeros(len(model.indices), dtype=complex)
+    return fourier(model, prob.forcing(t)).values
 
 
 def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
@@ -87,26 +99,19 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
     eye = np.eye(n)
     step_mats = {}  # c -> (Galerkin array, eye + c M): the last one per coefficient
 
-    def mat(t: float) -> np.ndarray:
-        return galerkin_matrix(model, prob.symbol_factory(t)).matrix
-
     def step_matrix(t: float, c: float, guard: bool) -> np.ndarray:
-        """eye + c M(t), built and condition-checked once per Galerkin array."""
-        M = mat(t)
+        """eye + c M(t), built and guarded once per Galerkin array.  The guard
+        trips on ill-conditioning and on a system that is all roundoff."""
+        M = _generator(model, prob, t)
         if c not in step_mats or step_mats[c][0] is not M:
             A = eye + c * M
             if guard:
-                cond = np.linalg.cond(A)
-                if not np.isfinite(cond) or cond > 1e12:
+                s = np.linalg.svd(A, compute_uv=False)
+                if not s[-1] >= 1e-12 * max(1.0, s[0]):
                     raise SpectrumProximityError(
-                        f"time-step system has condition estimate {cond:.3e}")
+                        f"time-step system has singular values {s[0]:.3e} down to {s[-1]:.3e}")
             step_mats[c] = (M, A)
         return step_mats[c][1]
-
-    def fhat(t: float) -> np.ndarray:
-        if prob.forcing is None:
-            return np.zeros(n, dtype=complex)
-        return fourier(model, prob.forcing(t)).values
 
     coeffs = np.zeros((prob.steps + 1, n), dtype=complex)
     coeffs[0] = fourier(model, prob.u0).values
@@ -115,15 +120,15 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
     if prob.scheme == "crank_nicolson":
         for k in range(prob.steps):
             explicit = step_matrix(times[k], 0.5 * dt, guard=False)
-            rhs = explicit @ coeffs[k] + dt * fhat(times[k] + 0.5 * dt)
+            rhs = explicit @ coeffs[k] + dt * _forcing(model, prob, times[k] + 0.5 * dt)
             coeffs[k + 1] = np.linalg.solve(step_matrix(times[k + 1], -0.5 * dt, guard=True), rhs)
     elif prob.scheme == "backward_euler":
         for k in range(prob.steps):
-            rhs = coeffs[k] + dt * fhat(times[k + 1])
+            rhs = coeffs[k] + dt * _forcing(model, prob, times[k + 1])
             coeffs[k + 1] = np.linalg.solve(step_matrix(times[k + 1], -dt, guard=True), rhs)
     else:  # picard
-        mats = np.stack([mat(t) for t in times])
-        fs = np.stack([fhat(t) for t in times])
+        mats = np.stack([_generator(model, prob, t) for t in times])
+        fs = np.stack([_forcing(model, prob, t) for t in times])
         cur = np.tile(coeffs[0], (prob.steps + 1, 1)).astype(complex)
         prev_res = np.inf
         growths = 0
@@ -148,7 +153,7 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
             prev_res = res
         coeffs = cur
 
-    norms = _norms_of(model, coeffs, gram)
+    norms = _norms_of(coeffs, gram)
     return Trajectory(times=times, coeffs=coeffs, norms=norms, scheme=prob.scheme,
                       picard_iterations=iterations)
 
@@ -236,8 +241,8 @@ def uniqueness_probe(model: ModelProblem, prob: EvolutionProblem, scale: float =
     bump = rng.standard_normal(model.Q) + 1j * rng.standard_normal(model.Q)
     t3 = solve_ivp(model, replace(prob, u0=prob.u0 + scale * bump))
     gram = coefficient_gram(model)
-    diff = _norms_of(model, t3.coeffs - t1.coeffs, gram)
-    bump_norm = _norms_of(model, (fourier(model, bump).values)[None, :], gram)[0]
+    diff = _norms_of(t3.coeffs - t1.coeffs, gram)
+    bump_norm = _norms_of((fourier(model, bump).values)[None, :], gram)[0]
     ratio = diff / (scale * max(bump_norm, 1e-300))
 
     rep = energy_check(model, prob, t1, seed=seed)
@@ -255,9 +260,7 @@ def residual(model: ModelProblem, prob: EvolutionProblem, traj: Trajectory) -> n
     out = []
     for k in range(1, prob.steps):
         t = traj.times[k]
-        M = galerkin_matrix(model, prob.symbol_factory(t)).matrix
-        fh = (fourier(model, prob.forcing(t)).values if prob.forcing is not None
-              else np.zeros(len(model.indices), dtype=complex))
-        defect = (traj.coeffs[k + 1] - traj.coeffs[k - 1]) / (2.0 * dt) - (M @ traj.coeffs[k] + fh)
-        out.append(_norms_of(model, defect[None, :], gram)[0])
+        defect = ((traj.coeffs[k + 1] - traj.coeffs[k - 1]) / (2.0 * dt)
+                  - (_generator(model, prob, t) @ traj.coeffs[k] + _forcing(model, prob, t)))
+        out.append(_norms_of(defect[None, :], gram)[0])
     return np.array(out)

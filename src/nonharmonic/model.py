@@ -225,10 +225,15 @@ def build_model(spec: ModelSpec, check: bool = True) -> ModelProblem:
     return ModelProblem(spec=spec, indices=indices, eigenvalues=lam, u=u, v=v, x=x, w=w)
 
 
+def biorthogonality_row_deviations(model: ModelProblem) -> np.ndarray:
+    """Per xi, the max over eta of |quad(u_xi * conj(v_eta)) - delta_{xi,eta}|."""
+    gram = (model.u * model.w) @ model.v.conj().T
+    return np.max(np.abs(gram - np.eye(len(model.indices))), axis=1)
+
+
 def check_biorthogonality(model: ModelProblem) -> float:
     """Max over (xi, eta) of |quad(u_xi * conj(v_eta)) - delta_{xi,eta}|."""
-    gram = (model.u * model.w) @ model.v.conj().T
-    return float(np.max(np.abs(gram - np.eye(len(model.indices)))))
+    return float(np.max(biorthogonality_row_deviations(model)))
 
 
 def check_wz(model: ModelProblem) -> WZReport:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ShapeError, WindowExhaustedError, WZViolationError
 from .model import ModelProblem
-from .symbols import (AdmissibleFamily, DEFAULT_MARGIN, Symbol, apply_D,
-                      apply_Delta, apply_Delta_star, default_family)
+from .symbols import (AdmissibleFamily, Symbol, apply_D, apply_Delta, apply_Delta_star,
+                      default_family)
 from .transform import CoeffVector, fourier, inverse
 
 
@@ -51,9 +51,7 @@ class KernelTable:
 
 def op_apply(model: ModelProblem, sym: Symbol, f: np.ndarray) -> np.ndarray:
     """Apply Op(a) to a grid function through the quantization sum."""
-    fhat = fourier(model, f)
-    tab = sym.table(model, 0)
-    return np.einsum("k,kx,kx->x", fhat.values, tab, model.u, optimize=True)
+    return op_apply_coeff(model, sym, fourier(model, f))
 
 
 def op_apply_coeff(model: ModelProblem, sym: Symbol, c: CoeffVector) -> np.ndarray:
@@ -78,23 +76,15 @@ def extract_symbol(model: ModelProblem, apply: Callable[[np.ndarray], np.ndarray
 
 
 def symbol_of_matrix(model: ModelProblem, M: np.ndarray, order: float = 0.0,
-                     rho: float = 1.0, delta: float = 0.0,
-                     name: str = "matrix") -> Symbol:
-    """Symbol of the operator defined by a finite-section matrix in the
-    u-basis: sigma(x, xi) = u_xi(x)^-1 sum_eta M[eta, xi] u_eta(x)."""
-    if np.min(np.abs(model.u)) < 1e-12:
-        raise WZViolationError("|u| falls below 1e-12 on the grid; cannot divide")
-    tab = (M.T @ model.u) / model.u
+                     rho: float = 1.0, delta: float = 0.0, name: str = "matrix", *,
+                     basis: Optional[np.ndarray] = None) -> Symbol:
+    """Symbol of the operator defined by a finite-section matrix in a basis
+    b (default model.u): sigma(x, xi) = b_xi(x)^-1 sum_eta M[eta, xi] b_eta(x)."""
+    b = model.u if basis is None else basis
+    if np.min(np.abs(b)) < 1e-12:
+        raise WZViolationError("|basis| falls below 1e-12 on the grid; cannot divide")
+    tab = (M.T @ b) / b
     return Symbol.from_table(model, tab, 0, order=order, rho=rho, delta=delta, name=name)
-
-
-def symbol_of_matrix_star(model: ModelProblem, M_star: np.ndarray, order: float = 0.0,
-                          name: str = "matrix*") -> Symbol:
-    """Symbol against the v-basis: tau(x, xi) = v_xi(x)^-1 sum_eta M*[eta, xi] v_eta(x)."""
-    if np.min(np.abs(model.v)) < 1e-12:
-        raise WZViolationError("|v| falls below 1e-12 on the grid; cannot divide")
-    tab = (M_star.T @ model.v) / model.v
-    return Symbol.from_table(model, tab, 0, order=order, name=name)
 
 
 def kernel(model: ModelProblem, sym: Symbol) -> KernelTable:
@@ -136,8 +126,7 @@ def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int,
     if terms < 1:
         raise WindowExhaustedError("composition expansion needs terms >= 1")
     family = family or default_family()
-    avail_a = a.available_margin(model)
-    margin_a = DEFAULT_MARGIN if avail_a is None else avail_a
+    margin_a = a.available_margin(model)
     out_margin = margin_a - (terms - 1)
     if out_margin < 0:
         raise WindowExhaustedError(
@@ -164,8 +153,7 @@ def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int,
         family_tilde = default_family().conjugate()
     family = family_tilde.conjugate()  # direct family, for the D transform
 
-    avail = a.available_margin(model)
-    margin = DEFAULT_MARGIN if avail is None else avail
+    margin = a.available_margin(model)
     out_margin = margin - (terms - 1)
     if out_margin < 0:
         raise WindowExhaustedError(
@@ -201,8 +189,8 @@ def adjoint_oracle(model: ModelProblem, a: Symbol) -> Symbol:
     """Exact finite-section adjoint: conjugate transpose of the Galerkin
     matrix, extracted against the v-basis."""
     M = galerkin_matrix(model, a)
-    return symbol_of_matrix_star(model, adjoint_galerkin(model, M), order=a.order,
-                                 name=f"oracle(adj {a.name})")
+    return symbol_of_matrix(model, adjoint_galerkin(model, M), order=a.order,
+                            name=f"oracle(adj {a.name})", basis=model.v)
 
 
 def band_limited(model: ModelProblem, rng: np.random.Generator) -> np.ndarray:

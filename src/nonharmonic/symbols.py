@@ -118,7 +118,8 @@ class Symbol:
 
     Exactly one of fn / table backs the symbol.  fn(x, xi, lam, br) returns
     grid samples for a single integer index and is valid on any index
-    (margin None); table-backed symbols carry samples over the window
+    (margin None: the calculus then reads DEFAULT_MARGIN past +-N unless told
+    otherwise); table-backed symbols carry samples over the window
     {-N-margin, ..., N+margin} of the model they were built from.
     A symbol must not be mutated once evaluated: its tables and Galerkin
     matrices are cached per model, and a cached value would go stale.
@@ -145,18 +146,20 @@ class Symbol:
         return cls(order=order, rho=rho, delta=delta, margin=margin, name=name,
                    _table=table, _table_token=model.token)
 
-    def available_margin(self, model: ModelProblem) -> Optional[int]:
-        if self._table is not None:
-            if self._table_token != model.token:
-                raise ConfigurationError(f"symbol {self.name!r} was tabulated on a different model")
-            return self.margin
-        return self.margin  # None means unlimited
+    def _check_model(self, model: ModelProblem):
+        if self._table is not None and self._table_token != model.token:
+            raise ConfigurationError(f"symbol {self.name!r} was tabulated on a different model")
+
+    def available_margin(self, model: ModelProblem) -> int:
+        """How far past +-N the symbol may be read: its declared margin, or
+        DEFAULT_MARGIN for an evaluator symbol without one."""
+        self._check_model(model)
+        return DEFAULT_MARGIN if self.margin is None else self.margin
 
     def values(self, model: ModelProblem, xi: int) -> np.ndarray:
         """Samples a(x_i, xi) on the model grid."""
+        self._check_model(model)
         if self._table is not None:
-            if self._table_token != model.token:
-                raise ConfigurationError(f"symbol {self.name!r} was tabulated on a different model")
             off = model.N + self.margin
             if not -off <= xi <= off:
                 raise WindowExhaustedError(
@@ -167,12 +170,8 @@ class Symbol:
             raise WindowExhaustedError(
                 f"symbol {self.name!r} read at xi={xi} beyond declared margin {self.margin}"
             )
-        out = self.fn(model.x, xi, complex(self.lam_of(model, xi)), float(model.bracket_val(xi)))
+        out = self.fn(model.x, xi, complex(model.lam(xi)), float(model.bracket_val(xi)))
         return np.broadcast_to(np.asarray(out, dtype=complex), (model.Q,)).copy()
-
-    @staticmethod
-    def lam_of(model: ModelProblem, xi: int) -> complex:
-        return complex(model.lam(xi))
 
     def table(self, model: ModelProblem, margin: int = 0) -> np.ndarray:
         """Sample table over {-N-margin, ..., N+margin}; cached per model."""
@@ -180,19 +179,24 @@ class Symbol:
         if key in self._cache:
             return self._cache[key]
         if self._table is not None:
-            if self._table_token != model.token:
-                raise ConfigurationError(f"symbol {self.name!r} was tabulated on a different model")
+            self._check_model(model)
             if margin > self.margin:
                 raise WindowExhaustedError(
                     f"symbol {self.name!r} has margin {self.margin}, requested {margin}"
                 )
-            off = self.margin - margin
-            tab = self._table[off: len(self._table) - off] if off else self._table
+            tab = trim_window(self._table, self.margin, margin)
         else:
             M = model.N + margin
             tab = np.stack([self.values(model, xi) for xi in range(-M, M + 1)])
         self._cache[key] = tab
         return tab
+
+
+def trim_window(tab: np.ndarray, from_margin: int, to_margin: int) -> np.ndarray:
+    """Rows of a table over {-N-from_margin, ..., N+from_margin} restricted
+    to {-N-to_margin, ..., N+to_margin}."""
+    off = from_margin - to_margin
+    return tab[off: len(tab) - off] if off else tab
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +228,7 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
     family = family or default_family()
     tr = d_operator_transform(family, beta)
     if margin is None:
-        avail = sym.available_margin(model)
-        margin = DEFAULT_MARGIN if avail is None else avail
+        margin = sym.available_margin(model)
     tab = sym.table(model, margin)
     out = np.zeros_like(tab)
     for j in range(1, beta + 1):
@@ -237,13 +240,37 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
 
 
 def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
-                    out_offset: int, in_offset: int) -> np.ndarray:
-    """C[x, xi, eta] = quad_y(q^alpha(x, y) conj(v_eta(y)) u_xi(y)) for
-    xi in the +-out_offset window and eta in the +-in_offset window."""
+                    basis_out: np.ndarray, dual_in: np.ndarray) -> np.ndarray:
+    """C[x, xi, eta] = quad_y(q^alpha(x, y) conj(dual_eta(y)) basis_xi(y)) for
+    the rows xi of basis_out and eta of dual_in."""
     q_pow = family.power_xy(model.x, model.x, alpha)  # (Q, Q)
-    U = model.u_block(-out_offset, out_offset)        # (2*out+1, Q)
-    V = model.v_block(-in_offset, in_offset)          # (2*in+1, Q)
-    return np.einsum("xy,ey,gy,y->xge", q_pow, V.conj(), U, model.w, optimize=True)
+    return np.einsum("xy,ey,gy,y->xge", q_pow, dual_in.conj(), basis_out, model.w,
+                     optimize=True)
+
+
+def _delta(model: ModelProblem, sym: Symbol, alpha: int, family: AdmissibleFamily,
+           basis: Callable, dual: Callable, label: str) -> Symbol:
+    """Delta^alpha against a (basis b, dual basis d, family q) triple, given
+    b and d as block builders (lo, hi) -> rows:
+    b_xi(x)^-1 sum_eta b_eta(x) a(x, eta) quad_y(q^alpha(x, y) conj(d_eta(y)) b_xi(y))."""
+    if alpha == 0:
+        return sym
+    in_margin = sym.available_margin(model)
+    out_margin = in_margin - alpha
+    if out_margin < 0:
+        raise WindowExhaustedError(
+            f"{label}^{alpha} needs margin >= {alpha}, symbol {sym.name!r} has {in_margin}"
+        )
+    in_off = model.N + in_margin
+    out_off = model.N + out_margin
+
+    tab = sym.table(model, in_margin)                # (2*in_off+1, Q)
+    B_in = basis(-in_off, in_off)                    # (2*in_off+1, Q)
+    B_out = basis(-out_off, out_off)
+    C = coupling_tensor(model, family, alpha, B_out, dual(-in_off, in_off))  # (Q, 2*out+1, 2*in+1)
+    summed = np.einsum("xge,ex->gx", C, B_in * tab, optimize=True)
+    return Symbol.from_table(model, summed / B_out, out_margin, order=sym.order - sym.rho * alpha,
+                             rho=sym.rho, delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]")
 
 
 def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int,
@@ -255,57 +282,16 @@ def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int,
     For the built-in models with the default family this equals the forward
     difference iterated alpha times, which tests exploit as an oracle.
     """
-    if alpha == 0:
-        return sym
-    family = family or default_family()
-    avail = sym.available_margin(model)
-    in_margin = DEFAULT_MARGIN if avail is None else avail
-    out_margin = in_margin - alpha
-    if out_margin < 0:
-        raise WindowExhaustedError(
-            f"Delta^{alpha} needs margin >= {alpha}, symbol {sym.name!r} has {in_margin}"
-        )
-    in_off = model.N + in_margin
-    out_off = model.N + out_margin
-
-    tab = sym.table(model, in_margin)                # (2*in_off+1, Q)
-    C = coupling_tensor(model, family, alpha, out_off, in_off)  # (Q, 2*out+1, 2*in+1)
-    U_in = model.u_block(-in_off, in_off)            # (2*in_off+1, Q)
-    U_out = model.u_block(-out_off, out_off)
-    summed = np.einsum("xge,ex->gx", C, U_in * tab, optimize=True)
-    out = summed / U_out
-    return Symbol.from_table(model, out, out_margin, order=sym.order - sym.rho * alpha,
-                             rho=sym.rho, delta=sym.delta, name=f"Delta^{alpha}[{sym.name}]")
+    return _delta(model, sym, alpha, family or default_family(),
+                  model.u_block, model.v_block, "Delta")
 
 
 def apply_Delta_star(model: ModelProblem, sym: Symbol, alpha: int,
                      family: Optional[AdmissibleFamily] = None) -> Symbol:
-    """Adjoint difference operator, coupling the conjugate family against
-    the v-basis: v_xi^-1 sum_eta v_eta a(x, eta) quad(q~^a conj(u_eta) v_xi)."""
-    if alpha == 0:
-        return sym
-    if family is None:
-        family = default_family().conjugate()
-    avail = sym.available_margin(model)
-    in_margin = DEFAULT_MARGIN if avail is None else avail
-    out_margin = in_margin - alpha
-    if out_margin < 0:
-        raise WindowExhaustedError(
-            f"adjoint Delta^{alpha} needs margin >= {alpha}, symbol {sym.name!r} has {in_margin}"
-        )
-    in_off = model.N + in_margin
-    out_off = model.N + out_margin
-
-    tab = sym.table(model, in_margin)
-    q_pow = family.power_xy(model.x, model.x, alpha)
-    V_in = model.v_block(-in_off, in_off)
-    V_out = model.v_block(-out_off, out_off)
-    U_in = model.u_block(-in_off, in_off)
-    C = np.einsum("xy,ey,gy,y->xge", q_pow, U_in.conj(), V_out, model.w, optimize=True)
-    summed = np.einsum("xge,ex->gx", C, V_in * tab, optimize=True)
-    out = summed / V_out
-    return Symbol.from_table(model, out, out_margin, order=sym.order - sym.rho * alpha,
-                             rho=sym.rho, delta=sym.delta, name=f"Delta~^{alpha}[{sym.name}]")
+    """Adjoint difference operator: the same construction with u and v
+    swapped and the conjugate family q~ as default."""
+    return _delta(model, sym, alpha, family or default_family().conjugate(),
+                  model.v_block, model.u_block, "Delta~")
 
 
 def seminorm(model: ModelProblem, sym: Symbol, l: float, alpha: int, beta: int,

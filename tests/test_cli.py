@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from nonharmonic.cli import run
 
@@ -81,6 +82,41 @@ def test_thread_cap_set_before_numpy_loads():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_whole_spectrum_collision_in_time_step_exits_3(tmp_path):
+    # a constant generator 2/dt makes the Crank-Nicolson system roundoff noise
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "evolve",
+                                  "params": {"generator": {"name": "constant", "value": 1000.0},
+                                             "scheme": "crank_nicolson", "steps": 50,
+                                             "horizon": 0.1, "gate": "off"}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 3
+
+
+def test_shipped_configs_reproduce_csv_digests(tmp_path):
+    # byte-for-byte reproduction holds at a fixed BLAS thread count; one
+    # thread is the reference setting the digests were recorded at
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import hashlib, json, pathlib, sys",
+        "import nonharmonic.cli as cli",
+        "configs, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])",
+        "digests = {}",
+        "for cfg in sorted(configs.glob('*.json')):",
+        "    assert cli.main(['run', '--config', str(cfg), '--out', str(out / cfg.stem)]) == 0",
+        "    digests[cfg.name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()",
+        "                         for p in sorted((out / cfg.stem).glob('*.csv'))}",
+        "print(json.dumps(digests))",
+    ])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["NONHARMONIC_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", script, str(root / "configs"), str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads((root / "perfbench" / "csv_digests.json").read_text())
+    assert json.loads(proc.stdout.splitlines()[-1]) == recorded
 
 
 def test_csv_determinism_and_roundtrip_digits(tmp_path):

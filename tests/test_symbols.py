@@ -3,9 +3,9 @@ import pytest
 
 from nonharmonic.errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
 from nonharmonic.model import ModelSpec, build_model
-from nonharmonic.symbols import (AdmissibleFamily, Symbol, apply_D, apply_Delta,
-                                 apply_Delta_star, d_operator_transform, default_family,
-                                 estimate_order, make_symbol, seminorm)
+from nonharmonic.symbols import (DEFAULT_MARGIN, AdmissibleFamily, Symbol, apply_D,
+                                 apply_Delta, apply_Delta_star, d_operator_transform,
+                                 default_family, estimate_order, make_symbol, seminorm)
 
 TWO_PI_I = 2j * np.pi
 
@@ -181,3 +181,49 @@ def test_table_on_foreign_model_rejected(torus):
     foreign = Symbol.from_table(other, tab, 0)
     with pytest.raises(ConfigurationError):
         foreign.table(torus, 0)
+
+
+@pytest.mark.parametrize("read", [lambda s, m: s.available_margin(m),
+                                  lambda s, m: s.values(m, 0),
+                                  lambda s, m: s.table(m, 0)],
+                         ids=["available_margin", "values", "table"])
+def test_every_read_of_a_foreign_table_rejected(torus, read):
+    other = build_model(ModelSpec(kind="torus_derivative", N=4, Q=64))
+    foreign = Symbol.from_table(other, make_symbol("constant").table(other, 1), 1)
+    with pytest.raises(ConfigurationError):
+        read(foreign, torus)
+
+
+def test_unlimited_symbol_reports_default_margin(torus):
+    sym = make_symbol("bracket_power", power=1.0)
+    assert sym.margin is None
+    assert sym.available_margin(torus) == DEFAULT_MARGIN
+    assert make_symbol("bracket_power", power=1.0, margin=2).available_margin(torus) == 2
+
+
+def delta_star_reference(model, sym, alpha):
+    """The adjoint difference operator written out on its own: the v-basis
+    coupled against conj(u) through the conjugate family."""
+    family = default_family().conjugate()
+    avail = sym.available_margin(model)
+    in_margin = DEFAULT_MARGIN if avail is None else avail
+    out_margin = in_margin - alpha
+    in_off, out_off = model.N + in_margin, model.N + out_margin
+    tab = sym.table(model, in_margin)
+    q_pow = family.power_xy(model.x, model.x, alpha)
+    V_in = model.v_block(-in_off, in_off)
+    V_out = model.v_block(-out_off, out_off)
+    U_in = model.u_block(-in_off, in_off)
+    C = np.einsum("xy,ey,gy,y->xge", q_pow, U_in.conj(), V_out, model.w, optimize=True)
+    summed = np.einsum("xge,ex->gx", C, V_in * tab, optimize=True)
+    return summed / V_out
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("backing", ["fn", "table"])
+def test_delta_star_equals_written_out_adjoint(hmodel, alpha, backing):
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    if backing == "table":
+        sym = Symbol.from_table(hmodel, sym.table(hmodel, 5), 5, order=1.0)
+    out = apply_Delta_star(hmodel, sym, alpha)
+    assert np.array_equal(out.table(hmodel, out.margin), delta_star_reference(hmodel, sym, alpha))
