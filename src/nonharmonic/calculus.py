@@ -6,9 +6,9 @@ from the non-holomorphy region of F.  Resolvents inside the integral are
 exact truncated matrix inverses, so for multiplier symbols the result can
 be checked pointwise against the spectral oracle F(a(xi)).
 
-The overall sign couples the curve orientation to the -1/(2 pi i)
-prefactor; rather than trusting a convention it is calibrated once per
-evaluation by a scalar probe on a diagonal value.
+The overall sign of the -1/(2 pi i) prefactor is the winding number of the
+discretized curve around the truncated spectrum, one shared +-1 for every
+eigenvalue; a curve that misses part of the spectrum raises instead.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (BranchCutError, ConfigurationError, EllipticityError,
                      SpectrumProximityError)
 from .model import ModelProblem
-from .quantize import galerkin_matrix, symbol_of_matrix
+from .quantize import check_solvable, galerkin_matrix, symbol_of_matrix
 from .symbols import (AdmissibleFamily, Symbol, apply_D, apply_Delta, default_family,
                       trim_window)
 
@@ -130,17 +130,24 @@ class Contour:
     def default_keyhole(cls, model: ModelProblem, sym: Symbol,
                         nodes_per_segment: int = 100) -> "Contour":
         """Keyhole sized from the truncated spectrum of Op(a)."""
-        M = galerkin_matrix(model, sym).matrix
-        spec = np.linalg.eigvals(M)
-        R = 4.0 * float(np.max(np.abs(spec)))
+        R = 4.0 * float(np.max(np.abs(galerkin_matrix(model, sym).eigenvalues)))
         return cls.keyhole_negative_axis(R=R, nodes_per_segment=nodes_per_segment)
 
-    def check_clear_of(self, values: np.ndarray, tol: float = 1e-9):
-        """Raise if any quadrature node collides with the given spectrum."""
-        d = np.abs(self.nodes[:, None] - np.asarray(values)[None, :])
-        dmin = float(np.min(d))
+    def check_clear_of(self, values: np.ndarray, tol: float = 1e-9) -> int:
+        """The winding number (+1 or -1) shared by all values.  Raises on a
+        node colliding with a value, or unless every discrete winding number
+        sum_k w_k / (z_k - lambda_j) / (2 pi i) is within 1/4 of it."""
+        diff = self.nodes[:, None] - np.asarray(values)[None, :]
+        dmin = float(np.min(np.abs(diff)))
         if dmin < tol * max(1.0, float(np.max(np.abs(values)))):
             raise SpectrumProximityError(f"contour node within {dmin:.3e} of the spectrum")
+        wind = (self.weights @ (1.0 / diff)) / (2j * np.pi)
+        turns = round(float(wind[0].real))
+        if abs(turns) != 1 or np.max(np.abs(wind - turns)) > 0.25:
+            raise SpectrumProximityError(
+                "contour does not wind once around the whole spectrum (winding numbers "
+                f"{np.min(wind.real):.3g} to {np.max(wind.real):.3g})")
+        return turns
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +258,6 @@ def certify_parameter_ellipticity(model: ModelProblem, a: Symbol, m: float,
     derivative identity d_lambda R = R^2 by central differences.
     """
     rng = rng or np.random.default_rng(0)
-    if isinstance(lambdas, Contour):
-        lambdas = lambdas.nodes
     tab = a.table(model, 0)
     br = model.bracket_val(model.indices)
     sup = 0.0
@@ -286,15 +291,11 @@ def certify_parameter_ellipticity(model: ModelProblem, a: Symbol, m: float,
 # resolvent and functional calculus
 # ---------------------------------------------------------------------------
 
-def resolvent_symbol(model: ModelProblem, a: Symbol, z: complex,
-                     galerkin: Optional[np.ndarray] = None) -> Symbol:
+def resolvent_symbol(model: ModelProblem, a: Symbol, z: complex) -> Symbol:
     """Exact truncated resolvent symbol: invert (M - zI) and extract."""
-    M = galerkin_matrix(model, a).matrix if galerkin is None else galerkin
+    M = galerkin_matrix(model, a).matrix
     A = M - z * np.eye(M.shape[0])
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SpectrumProximityError(
-            f"(M - zI) has condition estimate {cond:.3e} at z={z}; too close to the spectrum")
+    check_solvable(A, f"(M - zI) at z={z}")
     X = np.linalg.inv(A)
     return symbol_of_matrix(model, X, order=-a.order, rho=a.rho, delta=a.delta,
                             name=f"resolvent[{a.name};z={z:g}]")
@@ -307,24 +308,15 @@ class FunctionalCalculusResult:
     orientation: int
 
 
-def _calibrate_orientation(contour: Contour, F: Callable, probe: complex) -> int:
-    """Fix the sign so that the scalar calculus reproduces F on a diagonal probe."""
-    integral = -(1.0 / (2j * np.pi)) * np.sum(contour.weights * F(contour.nodes)
-                                              / (probe - contour.nodes))
-    target = F(probe)
-    if abs(integral - target) <= abs(-integral - target):
-        return +1
-    return -1
-
-
 def dunford_riesz(model: ModelProblem, a: Symbol, F: Callable, contour: Contour,
                   decay_exponent: Optional[float] = None) -> FunctionalCalculusResult:
     """Contour functional calculus sigma_{F(A)} = -(1/2 pi i) sum w F(z) Rhat_z.
 
     F must be evaluable at every node and should decay like |z|^s with
     s < 0 for the operator calculus to be well defined; callers declare the
-    exponent.  The leading-term approximation (pointwise scalar integral of
-    (a - z)^-1) is returned alongside for comparison.
+    exponent.  The contour must wind once around the whole truncated
+    spectrum; its winding number is the orientation.  The leading-term
+    approximation (pointwise scalar integral of (a - z)^-1) is returned too.
     """
     if decay_exponent is not None and decay_exponent >= 0:
         raise ConfigurationError(f"declared decay exponent must be negative, got {decay_exponent}")
@@ -332,13 +324,9 @@ def dunford_riesz(model: ModelProblem, a: Symbol, F: Callable, contour: Contour,
     if not np.all(np.isfinite(Fz)):
         raise ConfigurationError("F is not finite at some contour node")
 
-    M = galerkin_matrix(model, a).matrix
-    spec = np.linalg.eigvals(M)
-    contour.check_clear_of(spec)
-
-    probe = complex(a.values(model, 0)[0])
-    sign = _calibrate_orientation(contour, F, probe)
-
+    G = galerkin_matrix(model, a)
+    sign = contour.check_clear_of(G.eigenvalues)
+    M = G.matrix
     n = M.shape[0]
     eye = np.eye(n)
     acc = np.zeros((n, n), dtype=complex)

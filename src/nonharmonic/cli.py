@@ -192,6 +192,12 @@ def _build_symbol(block: dict, model):
     return sym
 
 
+def _index_rows(model, lead, *columns):
+    """One CSV row per window index: the lead cells, xi, then each column's entry."""
+    return [[*lead, int(xi), *(float(col[i]) for col in columns)]
+            for i, xi in enumerate(model.indices)]
+
+
 def _x_independent(tab) -> bool:
     """Whether a symbol table is constant in x up to 1e-13 relative."""
     import numpy as np
@@ -214,11 +220,8 @@ def _task_model_check(model, params, seed):
     wz = check_wz(model)
     br = bracket(model)
     tail = s0_tail(model, float(params.get("tail_s", 2.0)))
-    rows = []
-    for i, xi in enumerate(model.indices):
-        lam = model.eigenvalues[i]
-        rows.append([int(xi), lam.real, lam.imag, br.values[i], wz.inf_u[i], wz.inf_v[i],
-                     float(row_dev[i])])
+    rows = _index_rows(model, (), model.eigenvalues.real, model.eigenvalues.imag, br.values,
+                       wz.inf_u, wz.inf_v, row_dev)
     nondecreasing = bool(np.all(np.diff(br.values[model.N:]) >= -1e-14)
                          and np.all(np.diff(br.values[:model.N + 1]) <= 1e-14))
     passed = bool(dev <= 1e-12 and wz.passed and nondecreasing)
@@ -288,8 +291,7 @@ def _task_compose(model, params, seed):
         weight = br ** (-(a.order + b.order) + terms)
         wsup = float(np.max((rem * weight)[mask]))
         sups.append(wsup)
-        for i, xi in enumerate(model.indices):
-            rows.append([terms, int(xi), float(rem[i]), float(rem[i] * weight[i])])
+        rows += _index_rows(model, (terms,), rem, rem * weight)
     floor = 1e-8
     monotone = all(s1 <= s0 or s1 <= floor for s0, s1 in zip(sups, sups[1:]))
     return bool(monotone), {"weighted_sups": dict(zip(map(str, terms_list), sups)),
@@ -318,8 +320,7 @@ def _task_parametrix(model, params, seed):
         prod = composition_oracle(model, sym, res.symbol)
         rem = np.max(np.abs(prod.table(model, 0) - 1.0), axis=1)
         sups.append(float(np.max(rem[band])))
-        for i, xi in enumerate(model.indices):
-            rows.append([n, int(xi), float(rem[i])])
+        rows += _index_rows(model, (n,), rem)
     if x_indep:
         scale = float(np.max(np.abs(tab))) * float(np.max(np.abs(1.0 / tab)))
         passed = bool(max(sups) / scale <= 1e-12)
@@ -347,6 +348,8 @@ def _task_funcalc(model, params, seed):
     # the diagonal spectral oracle F(a(xi)) is exact only for multipliers;
     # for x-dependent symbols the leading-term deviation is reported, not asserted
     x_indep = _x_independent(tab0)
+    contours = [(n, Contour.default_keyhole(model, sym, nodes_per_segment=n))
+                for n in (max(nps // 4, 4), max(nps // 2, 4), nps)]
 
     rows = []
     passed = True
@@ -359,17 +362,14 @@ def _task_funcalc(model, params, seed):
             fname = fkw.pop("name")
         F, s = make_scalar_function(fname, **fkw)
         errs = []
-        for n in (max(nps // 4, 4), max(nps // 2, 4), nps):
-            contour = Contour.default_keyhole(model, sym, nodes_per_segment=n)
+        for n, contour in contours:
             res = dunford_riesz(model, sym, F, contour, decay_exponent=s)
             got = res.symbol.table(model, 0)
             oracle = tab0**s if x_indep else res.leading_term.table(model, 0)
-            rel = float(np.max(np.abs(got - oracle) / np.maximum(np.abs(oracle), 1e-300)))
-            errs.append(rel)
-            for i, xi in enumerate(model.indices):
-                e = float(np.max(np.abs(got[i] - oracle[i]) / np.maximum(np.abs(oracle[i]), 1e-300)))
-                rows.append([fname, 4 * n, int(xi), got[i][0].real, got[i][0].imag,
-                             oracle[i][0].real, oracle[i][0].imag, e])
+            rel = np.abs(got - oracle) / np.maximum(np.abs(oracle), 1e-300)
+            errs.append(float(np.max(rel)))
+            rows += _index_rows(model, (fname, 4 * n), got[:, 0].real, got[:, 0].imag,
+                                oracle[:, 0].real, oracle[:, 0].imag, np.max(rel, axis=1))
         if x_indep:
             mono = all(e1 <= e0 * (1 + 1e-9) or e1 <= 1e-13 for e0, e1 in zip(errs, errs[1:]))
             ok = bool(errs[-1] <= tol and mono)

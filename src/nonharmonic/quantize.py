@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ShapeError, WindowExhaustedError, WZViolationError
+from .errors import ShapeError, SpectrumProximityError, WindowExhaustedError, WZViolationError
 from .model import ModelProblem
 from .symbols import (AdmissibleFamily, Symbol, apply_D, apply_Delta, apply_Delta_star,
                       default_family)
@@ -33,7 +34,13 @@ class GalerkinMatrix:
     """Finite section M[eta, xi] = fourier(Op(a) u_xi)(eta)."""
 
     matrix: np.ndarray
-    provenance: str = ""
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of the finite section, computed on first use; read-only."""
+        spec = np.linalg.eigvals(self.matrix)
+        spec.flags.writeable = False
+        return spec
 
     def apply(self, c: CoeffVector) -> CoeffVector:
         if len(c) != self.matrix.shape[1]:
@@ -46,7 +53,6 @@ class KernelTable:
     """Samples K(x_i, y_j) of the Schwartz kernel on the grid."""
 
     values: np.ndarray
-    provenance: str = ""
 
 
 def op_apply(model: ModelProblem, sym: Symbol, f: np.ndarray) -> np.ndarray:
@@ -91,7 +97,7 @@ def kernel(model: ModelProblem, sym: Symbol) -> KernelTable:
     """Schwartz kernel K(x, y) = sum_xi u_xi(x) a(x, xi) conj(v_xi(y))."""
     tab = sym.table(model, 0)
     K = np.einsum("kx,kx,ky->xy", model.u, tab, model.v.conj(), optimize=True)
-    return KernelTable(values=K, provenance=sym.name)
+    return KernelTable(values=K)
 
 
 def kernel_apply(model: ModelProblem, K: KernelTable, f: np.ndarray) -> np.ndarray:
@@ -104,14 +110,22 @@ def kernel_apply(model: ModelProblem, K: KernelTable, f: np.ndarray) -> np.ndarr
 
 def galerkin_matrix(model: ModelProblem, sym: Symbol) -> GalerkinMatrix:
     """Matrix of Op(a) in the biorthogonal basis, cached per symbol and model.
-    The cached array is read-only, so no caller can corrupt the cache."""
+    The cached arrays are read-only, so no caller can corrupt the cache."""
     key = ("galerkin", model.token)
     if key not in sym._cache:
         M = np.einsum("ey,y,ky,ky->ek", model.v.conj(), model.w, model.u,
                       sym.table(model, 0), optimize=True)
         M.flags.writeable = False
-        sym._cache[key] = M
-    return GalerkinMatrix(matrix=sym._cache[key], provenance=sym.name)
+        sym._cache[key] = GalerkinMatrix(matrix=M)
+    return sym._cache[key]
+
+
+def check_solvable(A: np.ndarray, what: str):
+    """Raise unless A is safely invertible: s_min >= 1e-12 * max(1, s_max).
+    Unlike a condition number, this also trips on a matrix that is all roundoff."""
+    s = np.linalg.svd(A, compute_uv=False)
+    if not s[-1] >= 1e-12 * max(1.0, s[0]):
+        raise SpectrumProximityError(f"{what} has singular values {s[0]:.3e} down to {s[-1]:.3e}")
 
 
 def adjoint_galerkin(model: ModelProblem, M: GalerkinMatrix) -> np.ndarray:

@@ -335,10 +335,10 @@ def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float,
     log_br = np.log(model.bracket_val(model.indices)[sel])
 
     implied, values = [], {}
+    d_beta = [apply_D(model, sym, beta, family) for beta in range(max_beta + 1)]
     for alpha in range(max_alpha + 1):
         for beta in range(max_beta + 1):
-            work = apply_D(model, sym, beta, family)
-            work = apply_Delta(model, work, alpha, family)
+            work = apply_Delta(model, d_beta[beta], alpha, family)
             profile = np.max(np.abs(work.table(model, 0)), axis=1)
             values[(alpha, beta)] = float(
                 np.max(profile * model.bracket_val(model.indices)

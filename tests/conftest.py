@@ -1,7 +1,14 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nonharmonic.model import ModelSpec, build_model
+
+# tests that start a fresh interpreter import the package from this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 STANDARD_SPECS = {
     "torus_derivative": ModelSpec(kind="torus_derivative", N=16, Q=128),

@@ -22,20 +22,27 @@ def test_keyhole_is_closed_and_winds_once():
     assert abs(np.sum(c.weights * c.nodes)) <= 1e-7
     # winding around a point between the keyhole and the outer arc
     w = np.sum(c.weights / (c.nodes - 5.0)) / (2j * np.pi)
-    assert abs(abs(w) - 1.0) <= 1e-10
+    assert abs(w - 1.0) <= 1e-10
 
 
 def test_circle_and_polyline_cauchy_integral():
     for c in (Contour.circle(center=2.0 + 1.0j, radius=1.5, n=64),
               Contour.polyline([0.0, 4.0, 4.0 + 4.0j, 4.0j], n_per_edge=60)):
         val = np.sum(c.weights / (c.nodes - (2.0 + 1.0j))) / (2j * np.pi)
-        assert abs(abs(val) - 1.0) <= 1e-8
+        assert abs(val - 1.0) <= 1e-8
 
 
 def test_contour_spectrum_collision_guard():
     c = Contour.circle(center=0.0, radius=1.0, n=32)
     with pytest.raises(SpectrumProximityError):
         c.check_clear_of(np.array([c.nodes[3]]))
+
+
+def test_winding_number_is_shared_orientation():
+    c = Contour.circle(center=0.0, radius=2.0, n=64)
+    assert c.check_clear_of(np.array([0.5, -1.0 + 1.0j])) == 1
+    with pytest.raises(SpectrumProximityError):  # one value outside the circle
+        c.check_clear_of(np.array([0.5, 3.0]))
 
 
 def test_bad_contour_parameters():
@@ -147,6 +154,14 @@ def test_resolvent_at_eigenvalue_rejected(torus):
         resolvent_symbol(torus, a, z)
 
 
+def test_resolvent_rejects_system_of_roundoff():
+    # M - zI is roundoff noise: singular values 1e-12 down to 7e-15, yet its
+    # condition number is only ~200
+    m = build_model(ModelSpec(kind="torus_derivative", N=8, Q=64))
+    with pytest.raises(SpectrumProximityError):
+        resolvent_symbol(m, make_symbol("constant", value=1000.0), 1000.0)
+
+
 def test_resolvent_identity_matrix_level(torus):
     a = make_symbol("x_modulated_bracket", power=2.0)
     M = galerkin_matrix(torus, a).matrix
@@ -242,6 +257,31 @@ def test_dunford_riesz_iterated_square_root(torus):
     from nonharmonic.quantize import symbol_of_matrix
     squared = symbol_of_matrix(torus, Mh @ Mh).table(torus, 0)
     assert np.max(np.abs(squared - full.table(torus, 0))) <= 1e-8
+
+
+def test_dunford_riesz_rejects_spectrum_outside_contour(torus):
+    # half the spectrum lies on the negative axis, outside the keyhole
+    a = Symbol(fn=lambda x, xi, lam, br: np.full_like(x, br**2 if xi >= 0 else -br**2,
+                                                      dtype=complex), order=2.0)
+    F, s = make_scalar_function("inverse")
+    with pytest.raises(SpectrumProximityError):
+        dunford_riesz(torus, a, F, Contour.default_keyhole(torus, a), decay_exponent=s)
+
+
+def test_dunford_riesz_clockwise_polyline(torus):
+    # the sign comes from the winding number: a clockwise curve gets -1 and
+    # the same symbol as the counterclockwise one
+    a = Symbol(fn=lambda x, xi, lam, br: np.full_like(x, 10.0 + br, dtype=complex), order=1.0)
+    F, s = make_scalar_function("inverse")
+    vertices = [5 - 60j, 150 - 60j, 150 + 60j, 5 + 60j]
+    ccw = dunford_riesz(torus, a, F, Contour.polyline(vertices, n_per_edge=100), decay_exponent=s)
+    cw = dunford_riesz(torus, a, F, Contour.polyline(vertices[::-1], n_per_edge=100),
+                       decay_exponent=s)
+    assert (ccw.orientation, cw.orientation) == (1, -1)
+    got = cw.symbol.table(torus, 0)
+    assert np.max(np.abs(got - ccw.symbol.table(torus, 0))) <= 1e-14 * np.max(np.abs(got))
+    br = torus.bracket_val(torus.indices)
+    assert np.max(np.abs(got[:, 0] * (10.0 + br) - 1.0)) <= 1e-6
 
 
 def test_fractional_powers_pointwise(torus):

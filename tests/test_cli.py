@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from nonharmonic.cli import run
 
 
@@ -91,6 +93,31 @@ def test_whole_spectrum_collision_in_time_step_exits_3(tmp_path):
                                              "scheme": "crank_nicolson", "steps": 50,
                                              "horizon": 0.1, "gate": "off"}})
     assert run(cfg, out_dir=str(tmp_path / "out")) == 3
+
+
+@pytest.mark.parametrize("symbol", ["x_modulated_bracket", "bracket_power"])
+def test_funcalc_spectrum_outside_keyhole_exits_3(tmp_path, symbol):
+    # -<xi>^2-like spectra sit on the keyhole's cut, which the contour leaves outside
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "funcalc",
+                                  "params": {"symbol": {"name": symbol, "power": 2.0,
+                                                        "scale": -1.0},
+                                             "functions": ["inverse"]}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 3
+
+
+def test_funcalc_computes_one_spectrum_and_one_keyhole_per_node_count(tmp_path, monkeypatch):
+    import numpy as np
+
+    from nonharmonic.calculus import Contour
+
+    eigvals, keyhole = np.linalg.eigvals, Contour.default_keyhole
+    spectra, keyholes = [], []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(1) or eigvals(M))
+    monkeypatch.setattr(Contour, "default_keyhole", classmethod(
+        lambda cls, *a, **kw: keyholes.append(1) or keyhole(*a, **kw)))
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "funcalc.json"
+    assert run(str(cfg), out_dir=str(tmp_path / "out")) == 0
+    assert (len(spectra), len(keyholes)) == (1, 3)
 
 
 def test_shipped_configs_reproduce_csv_digests(tmp_path):

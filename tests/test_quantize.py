@@ -227,3 +227,12 @@ def test_galerkin_matrix_cached_read_only(torus, hmodel):
     fresh = galerkin_matrix(torus, make_symbol("x_modulated_bracket", power=1.0)).matrix
     assert fresh is not M
     assert np.array_equal(fresh, M)
+
+
+def test_galerkin_spectrum_cached_read_only(torus):
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    G = galerkin_matrix(torus, sym)
+    assert galerkin_matrix(torus, sym) is G
+    spec = G.eigenvalues
+    assert G.eigenvalues is spec and not spec.flags.writeable
+    np.testing.assert_array_equal(spec, np.linalg.eigvals(G.matrix))

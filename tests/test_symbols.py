@@ -163,6 +163,17 @@ def test_estimate_order_recovers_declared(torus, name, kw, expected):
     assert rep.fitted_order == pytest.approx(expected, abs=0.05)
 
 
+def test_estimate_order_builds_each_D_beta_once(monkeypatch):
+    import nonharmonic.symbols as symbols
+
+    m = build_model(ModelSpec(kind="torus_derivative", N=8, Q=64))
+    calls = []
+    monkeypatch.setattr(symbols, "apply_D",
+                        lambda *a, **kw: calls.append(a[2]) or apply_D(*a, **kw))
+    estimate_order(m, make_symbol("x_modulated_bracket", power=1.0), 1.0, 0.0)
+    assert sorted(calls) == [0, 1, 2]
+
+
 def test_registry_rejects_unknown():
     with pytest.raises(ConfigurationError):
         make_symbol("does_not_exist")
