@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EllipticityError, ConfigurationError
 from .model import ModelProblem, ModelSpec, build_model
@@ -123,8 +122,9 @@ def l2_operator_norm(model_or_spec, a: Symbol, truncations: Sequence[int]) -> np
     """Largest singular value of the Galerkin section at each truncation.
 
     For non-self-adjoint models the norm is taken in the sequence-space
-    geometry: the generalized problem M^H G M x = s^2 G x with G the
-    coefficient Gram matrix.  Truncations must be ascending; each one
+    geometry: the largest s with M^H G M x = s^2 G x, G the coefficient Gram
+    matrix, which is ||R M R^-1||_2 for G = R^H R (Golub & Van Loan, Matrix
+    Computations, sec. 8.7).  Truncations must be ascending; each one
     rebuilds the model with a proportionally enlarged grid.
     """
     truncations = list(truncations)
@@ -141,7 +141,7 @@ def l2_operator_norm(model_or_spec, a: Symbol, truncations: Sequence[int]) -> np
         if np.allclose(G, np.eye(G.shape[0]), atol=1e-12):
             norms.append(float(np.linalg.norm(M, 2)))
         else:
-            B = M.conj().T @ G @ M
-            vals = scipy.linalg.eigh(B, G, eigvals_only=True)
-            norms.append(float(np.sqrt(max(vals.max(), 0.0))))
+            # L = R^H; ||R M R^-1||_2 = ||(R M R^-1)^H||_2 = ||L^-1 M^H L||_2
+            L = np.linalg.cholesky(G)
+            norms.append(float(np.linalg.norm(np.linalg.solve(L, M.conj().T @ L), 2)))
     return np.array(norms)

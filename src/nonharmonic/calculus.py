@@ -23,8 +23,7 @@ from .errors import (BranchCutError, ConfigurationError, EllipticityError,
                      SpectrumProximityError)
 from .model import ModelProblem
 from .quantize import check_solvable, galerkin_matrix, symbol_of_matrix
-from .symbols import (AdmissibleFamily, Symbol, apply_D, apply_Delta, default_family,
-                      trim_window)
+from .symbols import DEFAULT_FAMILY, AdmissibleFamily, Symbol, apply_D, apply_Delta, trim_window
 
 # ---------------------------------------------------------------------------
 # contours
@@ -168,7 +167,7 @@ def _invert_table(tab: np.ndarray, what: str) -> np.ndarray:
 
 
 def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: float,
-               n_terms: int, family: Optional[AdmissibleFamily] = None) -> ParametrixResult:
+               n_terms: int, family: AdmissibleFamily = DEFAULT_FAMILY) -> ParametrixResult:
     """Asymptotic inverse B = sum_{k <= n_terms} B_k of an elliptic symbol.
 
     B_0 = a^-1 and, for N >= 1,
@@ -178,12 +177,7 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
     The composition expansion forces the 1/gamma! factor: with it each level
     cancels the next order of sigma(Op(a)Op(B)) - 1 exactly.
     """
-    family = family or default_family()
-    margin = a.available_margin(model)
-    out_margin = margin - n_terms
-    if out_margin < 0:
-        raise EllipticityError(
-            f"parametrix with n_terms={n_terms} exhausts margin {margin} of {a.name!r}")
+    margin, out_margin = a.margin_after(model, n_terms, f"parametrix with n_terms={n_terms}")
 
     a_tab = a.table(model, margin)
     off_all = model.N + margin
@@ -195,7 +189,6 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
 
     # B_k tables at margin (margin - k); deltas of a cached per order
     b_tables = [inv_tab]
-    b_margins = [margin]
     delta_a = {0: a}
     for N in range(1, n_terms + 1):
         tgt_margin = margin - N
@@ -204,7 +197,7 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
             g = N - k
             if g not in delta_a:
                 delta_a[g] = apply_Delta(model, a, g, family)
-            Bk = Symbol.from_table(model, b_tables[k], b_margins[k],
+            Bk = Symbol.from_table(model, b_tables[k], margin - k,
                                    order=-m - (rho - delta) * k, rho=rho, delta=delta,
                                    name=f"B_{k}")
             DBk = apply_D(model, Bk, g, family)
@@ -212,12 +205,11 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
             acc += term / math.factorial(g)
         inv_here = trim_window(inv_tab, margin, tgt_margin)
         b_tables.append(-inv_here * acc)
-        b_margins.append(tgt_margin)
 
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     terms = []
-    for k, (tab, mk) in enumerate(zip(b_tables, b_margins)):
-        cut = trim_window(tab, mk, out_margin)
+    for k, tab in enumerate(b_tables):
+        cut = trim_window(tab, margin - k, out_margin)
         total += cut
         terms.append(Symbol.from_table(model, cut.copy(), out_margin,
                                        order=-m - (rho - delta) * k, rho=rho,
@@ -366,16 +358,21 @@ def fractional_power_symbol(model: ModelProblem, a: Symbol, s: complex,
 # ---------------------------------------------------------------------------
 
 def make_scalar_function(name: str, **params):
-    """Registry of admissible F's: returns (callable, decay exponent)."""
+    """Registry of admissible F's: returns (callable, decay exponent).  Only
+    power takes a parameter, exponent; any other key raises ConfigurationError."""
     if name == "inverse":
-        return (lambda z: 1.0 / z), -1.0
-    if name == "inverse_sqrt":
-        return (lambda z: z ** -0.5), -0.5
-    if name == "power":
-        s = float(params.get("exponent", -1.0))
-        if s >= 0:
-            raise ConfigurationError(f"power function requires a negative exponent, got {s}")
-        return (lambda z: z**s), s
-    if name == "zero":
-        return (lambda z: np.zeros_like(np.asarray(z, dtype=complex))), -1.0
-    raise ConfigurationError(f"unknown scalar function {name!r} in registry")
+        F, s = (lambda z: 1.0 / z), -1.0
+    elif name == "inverse_sqrt":
+        F, s = (lambda z: z ** -0.5), -0.5
+    elif name == "power":
+        s = float(params.pop("exponent", -1.0))
+        F = lambda z: z**s
+    elif name == "zero":
+        F, s = (lambda z: np.zeros_like(np.asarray(z, dtype=complex))), -1.0
+    else:
+        raise ConfigurationError(f"unknown scalar function {name!r} in registry")
+    if params:
+        raise ConfigurationError(f"scalar function {name!r} takes no parameter {', '.join(params)}")
+    if s >= 0:
+        raise ConfigurationError(f"power function requires a negative exponent, got {s}")
+    return F, s

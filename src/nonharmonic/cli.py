@@ -59,16 +59,18 @@ _PARAMS_SCHEMAS = {
                      "required": ["symbol"], "additionalProperties": False},
     "compose": {"type": "object",
                 "properties": {"a": _SYMBOL_SCHEMA, "b": _SYMBOL_SCHEMA,
-                               "terms": {"type": "array", "items": {"type": "integer", "minimum": 1}}},
+                               "terms": {"type": "array", "minItems": 1,
+                                         "items": {"type": "integer", "minimum": 1}}},
                 "required": ["a", "b"], "additionalProperties": False},
     "parametrix": {"type": "object",
                    "properties": {"symbol": _SYMBOL_SCHEMA, "order": {"type": "number"},
                                   "rho": {"type": "number"}, "delta": {"type": "number"},
-                                  "n_terms": {"type": "array", "items": {"type": "integer", "minimum": 0}}},
+                                  "n_terms": {"type": "array", "minItems": 1,
+                                              "items": {"type": "integer", "minimum": 0}}},
                    "required": ["symbol", "order"], "additionalProperties": False},
     "funcalc": {"type": "object",
                 "properties": {"symbol": _SYMBOL_SCHEMA,
-                               "functions": {"type": "array",
+                               "functions": {"type": "array", "minItems": 1,
                                              "items": {"oneOf": [{"type": "string"}, _SYMBOL_SCHEMA]}},
                                "nodes_per_segment": {"type": "integer", "minimum": 4},
                                "tolerance": {"type": "number"}},
@@ -80,7 +82,8 @@ _PARAMS_SCHEMAS = {
                 "required": ["symbol", "order"], "additionalProperties": False},
     "l2norm": {"type": "object",
                "properties": {"symbol": _SYMBOL_SCHEMA,
-                              "truncations": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                              "truncations": {"type": "array", "minItems": 2,
+                                              "items": {"type": "integer", "minimum": 1}},
                               "max_growth": {"type": "number"}},
                "required": ["symbol"], "additionalProperties": False},
     "evolve": {"type": "object",
@@ -418,7 +421,7 @@ def _task_l2norm(model, params, seed):
     norms = l2_operator_norm(model.spec, sym, truncs)
     hs = hilbert_schmidt_norm(model, sym)
     rows = [[n, float(v)] for n, v in zip(truncs, norms)]
-    growth = float(norms[-1] / norms[-2] - 1.0) if len(norms) >= 2 else 0.0
+    growth = float(norms[-1] / norms[-2] - 1.0)
     passed = bool(abs(growth) <= max_growth)
     summary = {"operator_norms": dict(zip(map(str, truncs), map(float, norms))),
                "relative_growth_last_two": growth, "hilbert_schmidt_norm": hs}

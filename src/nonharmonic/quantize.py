@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ShapeError, SpectrumProximityError, WindowExhaustedError, WZViolationError
 from .model import ModelProblem
-from .symbols import (AdmissibleFamily, Symbol, apply_D, apply_Delta, apply_Delta_star,
-                      default_family)
+from .symbols import (DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE, AdmissibleFamily, Symbol, apply_D,
+                      apply_Delta, apply_Delta_star)
 from .transform import CoeffVector, fourier, inverse
 
 
@@ -134,17 +134,12 @@ def adjoint_galerkin(model: ModelProblem, M: GalerkinMatrix) -> np.ndarray:
 
 
 def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int,
-                    family: Optional[AdmissibleFamily] = None) -> Symbol:
+                    family: AdmissibleFamily = DEFAULT_FAMILY) -> Symbol:
     """Truncated composition expansion
     sigma^(terms) = sum_{alpha < terms} (1/alpha!) (Delta^alpha a)(D^(alpha) b)."""
     if terms < 1:
         raise WindowExhaustedError("composition expansion needs terms >= 1")
-    family = family or default_family()
-    margin_a = a.available_margin(model)
-    out_margin = margin_a - (terms - 1)
-    if out_margin < 0:
-        raise WindowExhaustedError(
-            f"composition with terms={terms} exhausts margin {margin_a} of {a.name!r}")
+    _, out_margin = a.margin_after(model, terms - 1, f"composition with terms={terms}")
 
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     for alpha in range(terms):
@@ -158,20 +153,13 @@ def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int,
 
 
 def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int,
-                   family_tilde: Optional[AdmissibleFamily] = None) -> Symbol:
+                   family_tilde: AdmissibleFamily = DEFAULT_FAMILY_TILDE) -> Symbol:
     """Truncated adjoint expansion
     tau^(terms) = sum_{alpha < terms} (1/alpha!) Delta~^alpha D^(alpha) conj(a)."""
     if terms < 1:
         raise WindowExhaustedError("adjoint expansion needs terms >= 1")
-    if family_tilde is None:
-        family_tilde = default_family().conjugate()
     family = family_tilde.conjugate()  # direct family, for the D transform
-
-    margin = a.available_margin(model)
-    out_margin = margin - (terms - 1)
-    if out_margin < 0:
-        raise WindowExhaustedError(
-            f"adjoint with terms={terms} exhausts margin {margin} of {a.name!r}")
+    margin, out_margin = a.margin_after(model, terms - 1, f"adjoint with terms={terms}")
 
     conj_a = Symbol.from_table(model, np.conj(a.table(model, margin)), margin,
                                order=a.order, rho=a.rho, delta=a.delta,

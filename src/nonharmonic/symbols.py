@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
 from .model import ModelProblem
@@ -33,7 +32,7 @@ DEFAULT_MARGIN = 4
 # admissible family
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissibleFamily:
     """A single difference-generating function q(x, y) and its y-derivatives
     on the diagonal (as Taylor coefficients of s -> q(x, x+s) at s = 0)."""
@@ -65,6 +64,11 @@ def default_family(max_order: int = 8) -> AdmissibleFamily:
     )
 
 
+#: the default family and its conjugate, built once and shared by every default argument
+DEFAULT_FAMILY = default_family()
+DEFAULT_FAMILY_TILDE = DEFAULT_FAMILY.conjugate()
+
+
 @dataclass
 class DOperatorTransform:
     """Triangular system T[beta, alpha] = (1/alpha!) d^beta_y q^alpha |_{y=x}
@@ -73,7 +77,6 @@ class DOperatorTransform:
 
     T: np.ndarray
     Tinv: np.ndarray
-    max_order: int
 
 
 def d_operator_transform(family: AdmissibleFamily, max_order: int) -> DOperatorTransform:
@@ -103,9 +106,13 @@ def d_operator_transform(family: AdmissibleFamily, max_order: int) -> DOperatorT
         poly = np.convolve(poly, base)[: K + 1]
         for beta in range(K + 1):
             T[beta, alpha] = math.factorial(beta) / math.factorial(alpha) * poly[beta]
-    # rows index beta, columns alpha; T[beta, alpha] = 0 for alpha > beta
-    Tinv = solve_triangular(T, np.eye(K + 1, dtype=complex), lower=True)
-    return DOperatorTransform(T=T, Tinv=Tinv, max_order=K)
+    # T (rows beta, columns alpha) is lower triangular; column-oriented forward
+    # substitution for T Tinv = I keeps exact zeros above the diagonal of Tinv
+    Tinv = np.eye(K + 1, dtype=complex)
+    for k in range(K + 1):
+        Tinv[k] /= T[k, k]
+        Tinv[k + 1:] -= T[k + 1:, k, None] * Tinv[k]
+    return DOperatorTransform(T=T, Tinv=Tinv)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +162,14 @@ class Symbol:
         DEFAULT_MARGIN for an evaluator symbol without one."""
         self._check_model(model)
         return DEFAULT_MARGIN if self.margin is None else self.margin
+
+    def margin_after(self, model: ModelProblem, levels: int, what: str) -> tuple:
+        """(available margin, margin left after using `levels` index levels)."""
+        margin = self.available_margin(model)
+        if margin < levels:
+            raise WindowExhaustedError(
+                f"{what} needs margin >= {levels}, symbol {self.name!r} has {margin}")
+        return margin, margin - levels
 
     def values(self, model: ModelProblem, xi: int) -> np.ndarray:
         """Samples a(x_i, xi) on the model grid."""
@@ -216,7 +231,7 @@ def _spectral_x_derivative(model: ModelProblem, rows: np.ndarray, order: int) ->
 
 
 def apply_D(model: ModelProblem, sym: Symbol, beta: int,
-            family: Optional[AdmissibleFamily] = None,
+            family: AdmissibleFamily = DEFAULT_FAMILY,
             margin: Optional[int] = None) -> Symbol:
     """Derived derivative D^(beta) of a symbol, sampled on an extended window.
 
@@ -225,7 +240,6 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
     """
     if beta == 0:
         return sym
-    family = family or default_family()
     tr = d_operator_transform(family, beta)
     if margin is None:
         margin = sym.available_margin(model)
@@ -255,12 +269,7 @@ def _delta(model: ModelProblem, sym: Symbol, alpha: int, family: AdmissibleFamil
     b_xi(x)^-1 sum_eta b_eta(x) a(x, eta) quad_y(q^alpha(x, y) conj(d_eta(y)) b_xi(y))."""
     if alpha == 0:
         return sym
-    in_margin = sym.available_margin(model)
-    out_margin = in_margin - alpha
-    if out_margin < 0:
-        raise WindowExhaustedError(
-            f"{label}^{alpha} needs margin >= {alpha}, symbol {sym.name!r} has {in_margin}"
-        )
+    in_margin, out_margin = sym.margin_after(model, alpha, f"{label}^{alpha}")
     in_off = model.N + in_margin
     out_off = model.N + out_margin
 
@@ -274,7 +283,7 @@ def _delta(model: ModelProblem, sym: Symbol, alpha: int, family: AdmissibleFamil
 
 
 def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int,
-                family: Optional[AdmissibleFamily] = None) -> Symbol:
+                family: AdmissibleFamily = DEFAULT_FAMILY) -> Symbol:
     """Difference operator Delta^alpha through the coupling-tensor route:
 
         Delta^a a(x, xi) = u_xi(x)^-1 sum_eta u_eta(x) a(x, eta) C[x, xi, eta].
@@ -282,23 +291,20 @@ def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int,
     For the built-in models with the default family this equals the forward
     difference iterated alpha times, which tests exploit as an oracle.
     """
-    return _delta(model, sym, alpha, family or default_family(),
-                  model.u_block, model.v_block, "Delta")
+    return _delta(model, sym, alpha, family, model.u_block, model.v_block, "Delta")
 
 
 def apply_Delta_star(model: ModelProblem, sym: Symbol, alpha: int,
-                     family: Optional[AdmissibleFamily] = None) -> Symbol:
+                     family: AdmissibleFamily = DEFAULT_FAMILY_TILDE) -> Symbol:
     """Adjoint difference operator: the same construction with u and v
     swapped and the conjugate family q~ as default."""
-    return _delta(model, sym, alpha, family or default_family().conjugate(),
-                  model.v_block, model.u_block, "Delta~")
+    return _delta(model, sym, alpha, family, model.v_block, model.u_block, "Delta~")
 
 
 def seminorm(model: ModelProblem, sym: Symbol, l: float, alpha: int, beta: int,
              rho: float, delta: float,
-             family: Optional[AdmissibleFamily] = None) -> float:
+             family: AdmissibleFamily = DEFAULT_FAMILY) -> float:
     """Class seminorm sup_{x, xi} |Delta^a D^(b) a(x, xi)| <xi>^(-l + rho a - delta b)."""
-    family = family or default_family()
     work = apply_D(model, sym, beta, family)
     work = apply_Delta(model, work, alpha, family)
     tab = work.table(model, 0)
@@ -315,7 +321,7 @@ class SeminormReport:
 
 
 def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float,
-                   family: Optional[AdmissibleFamily] = None,
+                   family: AdmissibleFamily = DEFAULT_FAMILY,
                    max_alpha: int = 2, max_beta: int = 2) -> SeminormReport:
     """Estimate the symbol order from the decay of difference profiles.
 
@@ -326,13 +332,14 @@ def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float,
     certifies a smaller class), so averaging across pairs would be wrong.
     Identically negligible profiles carry no information and are skipped.
     """
-    family = family or default_family()
     N = model.N
     xi_lo = max(2, N // 4)
     sel = np.abs(model.indices) >= xi_lo
     if np.count_nonzero(sel) < 3:
         sel = model.indices != 0
     log_br = np.log(model.bracket_val(model.indices)[sel])
+    if len(np.unique(log_br)) < 2:
+        raise ConfigurationError(f"order fit needs two distinct <xi> off xi = 0; N={N} has fewer")
 
     implied, values = [], {}
     d_beta = [apply_D(model, sym, beta, family) for beta in range(max_beta + 1)]
@@ -360,38 +367,42 @@ def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float,
 def make_symbol(name: str, **params) -> Symbol:
     """Construct a registry symbol by name.
 
-    Available: bracket_power(power), lambda_multiplier, constant(value),
+    Available: bracket_power(power), lambda_multiplier(order), constant(value),
     x_modulated_bracket(power, amplitude), exp_mode(mode, power),
-    mode_indicator(mode).
+    mode_indicator(mode).  Every entry also passes the Symbol fields rho,
+    delta and margin through; any other key raises ConfigurationError.
     """
     if name == "bracket_power":
         p = float(params.pop("power", 1.0))
-        sym = Symbol(fn=lambda x, xi, lam, br: np.full_like(x, br**p, dtype=complex),
-                     order=p, name=f"bracket^{p:g}", **params)
-        return sym
-    if name == "lambda_multiplier":
+        fn, order, label = (lambda x, xi, lam, br: np.full_like(x, br**p, dtype=complex),
+                            p, f"bracket^{p:g}")
+    elif name == "lambda_multiplier":
         # order equals the generating operator's order; set at bind time by caller
-        m = float(params.pop("order", 1.0))
-        return Symbol(fn=lambda x, xi, lam, br: np.full_like(x, lam, dtype=complex),
-                      order=m, name="lambda", **params)
-    if name == "constant":
+        fn, order, label = (lambda x, xi, lam, br: np.full_like(x, lam, dtype=complex),
+                            float(params.pop("order", 1.0)), "lambda")
+    elif name == "constant":
         c = complex(params.pop("value", 1.0))
-        return Symbol(fn=lambda x, xi, lam, br: np.full_like(x, c, dtype=complex),
-                      order=0.0, name=f"const({c:g})" if c.imag == 0 else "const", **params)
-    if name == "x_modulated_bracket":
+        fn, order, label = (lambda x, xi, lam, br: np.full_like(x, c, dtype=complex),
+                            0.0, f"const({c:g})" if c.imag == 0 else "const")
+    elif name == "x_modulated_bracket":
         p = float(params.pop("power", 1.0))
         amp = float(params.pop("amplitude", 0.5))
-        return Symbol(
-            fn=lambda x, xi, lam, br: (1.0 + amp * np.sin(2.0 * np.pi * x)) * br**p + 0.0j,
-            order=p, name=f"(1+{amp:g} sin)bracket^{p:g}", **params)
-    if name == "exp_mode":
+        fn, order, label = (
+            lambda x, xi, lam, br: (1.0 + amp * np.sin(2.0 * np.pi * x)) * br**p + 0.0j,
+            p, f"(1+{amp:g} sin)bracket^{p:g}")
+    elif name == "exp_mode":
         k = int(params.pop("mode", 1))
         p = float(params.pop("power", 0.0))
-        return Symbol(fn=lambda x, xi, lam, br: np.exp(2j * np.pi * k * x) * br**p,
-                      order=p, name=f"e(2pi i {k}x)br^{p:g}", **params)
-    if name == "mode_indicator":
+        fn, order, label = (lambda x, xi, lam, br: np.exp(2j * np.pi * k * x) * br**p,
+                            p, f"e(2pi i {k}x)br^{p:g}")
+    elif name == "mode_indicator":
         k = int(params.pop("mode", 0))
-        return Symbol(fn=lambda x, xi, lam, br: np.full_like(x, 1.0 + 0.0j if xi == k else 0.0j,
-                                                             dtype=complex),
-                      order=0.0, name=f"indicator({k})", **params)
-    raise ConfigurationError(f"unknown symbol {name!r} in registry")
+        fn, order, label = (lambda x, xi, lam, br: np.full_like(x, 1.0 + 0.0j if xi == k else 0.0j,
+                                                                dtype=complex),
+                            0.0, f"indicator({k})")
+    else:
+        raise ConfigurationError(f"unknown symbol {name!r} in registry")
+    extra = sorted(set(params) - {"rho", "delta", "margin"})
+    if extra:
+        raise ConfigurationError(f"symbol {name!r} takes no parameter {', '.join(extra)}")
+    return Symbol(fn=fn, order=order, name=label, **params)

@@ -4,7 +4,8 @@ import pytest
 from nonharmonic.analysis import (garding_estimate, hilbert_schmidt_norm,
                                   interpolation_constant, l2_operator_norm)
 from nonharmonic.errors import ConfigurationError, EllipticityError
-from nonharmonic.model import s0_tail
+from nonharmonic.model import ModelSpec, build_model, s0_tail
+from nonharmonic.quantize import galerkin_matrix
 from nonharmonic.symbols import make_symbol
 
 
@@ -125,6 +126,22 @@ def test_l2_norm_h_model_uses_sequence_geometry(hmodel):
     assert np.all(norms > 1.0 + 1e-3)
     assert np.all(norms < 1.05)
     assert abs(norms[1] / norms[0] - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("h", [2.0, 0.5])
+def test_l2_norm_h_model_matches_qr_oracle(h):
+    # G = R^H R with R from a QR factorization of sqrt(w) u^T, independent of
+    # the Cholesky route; the norm is ||R M R^-1||_2
+    spec = ModelSpec(kind="h_derivative", N=8, Q=64, h=h)
+    sym = make_symbol("exp_mode", mode=1)
+    truncations = [8, 16]
+    norms = l2_operator_norm(spec, sym, truncations)
+    for N, norm in zip(truncations, norms):
+        sub = build_model(ModelSpec(kind="h_derivative", N=N, Q=max(64, 4 * (2 * N + 1)), h=h))
+        M = galerkin_matrix(sub, sym).matrix
+        R = np.linalg.qr(np.sqrt(sub.w)[:, None] * sub.u.T, mode="r")
+        oracle = np.linalg.norm(R @ M @ np.linalg.inv(R), 2)
+        assert norm == pytest.approx(oracle, rel=1e-12)
 
 
 def test_l2_norm_requires_ascending_truncations(torus):

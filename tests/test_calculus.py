@@ -5,7 +5,7 @@ from nonharmonic.calculus import (Contour, EllipticityCertificate, certify_param
                                   dunford_riesz, fractional_power_symbol, make_scalar_function,
                                   negative_real_ray, parametrix, resolvent_symbol)
 from nonharmonic.errors import (BranchCutError, ConfigurationError, EllipticityError,
-                                SpectrumProximityError)
+                                SpectrumProximityError, WindowExhaustedError)
 from nonharmonic.model import ModelSpec, build_model
 from nonharmonic.quantize import composition_oracle, galerkin_matrix
 from nonharmonic.symbols import Symbol, make_symbol
@@ -96,6 +96,12 @@ def test_parametrix_order_gain_bounded_in_truncation():
         w = m.bracket_val(m.indices) ** 3.0
         worst[N] = float(np.max((rem * w)[band]))
     assert worst[32] <= 2.0 * worst[16]
+
+
+def test_parametrix_exhausted_margin_raises_window_error(torus):
+    a = make_symbol("bracket_power", power=2.0, margin=1)
+    with pytest.raises(WindowExhaustedError):
+        parametrix(torus, a, 2.0, 1.0, 0.0, 2)
 
 
 def test_parametrix_zero_symbol_guard(torus):
@@ -200,8 +206,8 @@ def test_resolvent_agrees_with_parametrix_of_shifted_symbol():
 def test_dunford_riesz_multiplier_oracle_and_monotone(torus):
     a = make_symbol("bracket_power", power=2.0)
     br = torus.bracket_val(torus.indices)
-    for fname, s in [("inverse", -1.0), ("inverse_sqrt", -0.5), ("power", -0.25)]:
-        F, s_decl = make_scalar_function(fname, exponent=-0.25)
+    for fname, kw in [("inverse", {}), ("inverse_sqrt", {}), ("power", {"exponent": -0.25})]:
+        F, s_decl = make_scalar_function(fname, **kw)
         oracle = br ** (2.0 * s_decl)
         errs = []
         for nps in (25, 50, 100):

@@ -68,6 +68,59 @@ def test_floating_point_overflow_exits_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+_SYMBOL_ORDER = {"model": BASE_MODEL, "task": "symbol-order"}
+
+
+@pytest.mark.parametrize("doc", [
+    # registry entries given parameters they do not take
+    {**_SYMBOL_ORDER, "params": {"symbol": {"name": "bracket_power", "power": 2, "order": 3}}},
+    {**_SYMBOL_ORDER, "params": {"symbol": {"name": "bracket_power", "power": 2, "exponent": 3}}},
+    {**_SYMBOL_ORDER, "params": {"symbol": {"name": "constant", "power": 3}}},
+    {"model": BASE_MODEL, "task": "funcalc",
+     "params": {"symbol": {"name": "bracket_power", "power": 2},
+                "functions": [{"name": "inverse", "power": 3}]}},
+    # inputs that leave nothing to check
+    {"model": BASE_MODEL, "task": "parametrix",
+     "params": {"symbol": {"name": "bracket_power", "power": 2}, "order": 2, "n_terms": []}},
+    {"model": BASE_MODEL, "task": "compose",
+     "params": {"a": {"name": "bracket_power"}, "b": {"name": "exp_mode"}, "terms": []}},
+    {"model": BASE_MODEL, "task": "funcalc",
+     "params": {"symbol": {"name": "bracket_power", "power": 2}, "functions": []}},
+    {"model": BASE_MODEL, "task": "l2norm",
+     "params": {"symbol": {"name": "constant"}, "truncations": []}},
+    {"model": BASE_MODEL, "task": "l2norm",
+     "params": {"symbol": {"name": "constant"}, "truncations": [8]}},
+    {"model": {"kind": "torus_derivative", "N": 0, "Q": 64}, "task": "symbol-order",
+     "params": {"symbol": {"name": "bracket_power"}}},
+    # xi = +-1 share one <xi>, so there is no slope to fit
+    {"model": {"kind": "torus_derivative", "N": 1, "Q": 64}, "task": "symbol-order",
+     "params": {"symbol": {"name": "bracket_power"}}},
+])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, doc):
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config:")
+    assert len(err.splitlines()) == 1
+
+
+def test_no_scipy_module_loads(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import importlib, pathlib, pkgutil, sys",
+        "import nonharmonic",
+        "for mod in pkgutil.iter_modules(nonharmonic.__path__):",
+        "    if mod.name != '__main__':  # the entry point runs the CLI on import",
+        "        importlib.import_module('nonharmonic.' + mod.name)",
+        "import nonharmonic.cli as cli",
+        "assert cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script, str(root / "configs" / "l2norm.json"),
+                           str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_thread_cap_set_before_numpy_loads():
     script = "\n".join([
         "import os, sys",

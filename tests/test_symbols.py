@@ -3,9 +3,10 @@ import pytest
 
 from nonharmonic.errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
 from nonharmonic.model import ModelSpec, build_model
-from nonharmonic.symbols import (DEFAULT_MARGIN, AdmissibleFamily, Symbol, apply_D,
-                                 apply_Delta, apply_Delta_star, d_operator_transform,
-                                 default_family, estimate_order, make_symbol, seminorm)
+from nonharmonic.symbols import (DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE, DEFAULT_MARGIN,
+                                 AdmissibleFamily, Symbol, apply_D, apply_Delta,
+                                 apply_Delta_star, d_operator_transform, default_family,
+                                 estimate_order, make_symbol, seminorm)
 
 TWO_PI_I = 2j * np.pi
 
@@ -41,6 +42,17 @@ def test_d_operator_transform_closed_form():
     assert tr.Tinv[1, 1] == pytest.approx(1.0 / TWO_PI_I, rel=1e-14)
     assert tr.Tinv[2, 2] == pytest.approx(TWO_PI_I**-2, rel=1e-14)
     assert tr.Tinv[2, 1] == pytest.approx(-1.0 / TWO_PI_I, rel=1e-14)
+
+
+@pytest.mark.parametrize("family", [DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE], ids=["q", "q~"])
+def test_d_operator_transform_inverse_is_lower_triangular(family):
+    for K in range(1, 9):
+        tr = d_operator_transform(family, K)
+        assert np.all(np.triu(tr.Tinv, 1) == 0)
+        # forward substitution's componentwise residual bound; T grows like (2 pi)^K,
+        # so the plain entries of T Tinv - I are only ~1e-6 small at K = 8
+        residual = np.abs(tr.T @ tr.Tinv - np.eye(K + 1))
+        assert np.all(residual <= 1e-13 * (np.abs(tr.T) @ np.abs(tr.Tinv))), K
 
 
 def test_degenerate_family_rejected():
