@@ -6,7 +6,8 @@ Command shape:
     nonharmonic report --registry PATH
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 invalid config,
-3 numerical guard tripped (floating-point overflow inside a task included).
+3 numerical guard tripped (floating-point overflow inside a task included),
+4 internal error (any other exception).
 
 Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
@@ -59,7 +60,7 @@ _PARAMS_SCHEMAS = {
                      "required": ["symbol"], "additionalProperties": False},
     "compose": {"type": "object",
                 "properties": {"a": _SYMBOL_SCHEMA, "b": _SYMBOL_SCHEMA,
-                               "terms": {"type": "array", "minItems": 1,
+                               "terms": {"type": "array", "minItems": 2,
                                          "items": {"type": "integer", "minimum": 1}}},
                 "required": ["a", "b"], "additionalProperties": False},
     "parametrix": {"type": "object",
@@ -306,6 +307,7 @@ def _task_parametrix(model, params, seed):
     import numpy as np
 
     from .calculus import parametrix
+    from .errors import ConfigurationError
     from .quantize import composition_oracle
 
     sym = _build_symbol(params["symbol"], model)
@@ -316,6 +318,9 @@ def _task_parametrix(model, params, seed):
 
     tab = sym.table(model, 0)
     x_indep = _x_independent(tab)
+    if not x_indep and len(n_list) < 2:
+        raise ConfigurationError("n_terms needs two entries for an x-dependent symbol: "
+                                 "its check is the decrease from the first to the last")
     band = (np.abs(model.indices) >= (3 * model.N) // 8) & (np.abs(model.indices) <= model.N // 2)
     rows, sups = [], []
     for n in n_list:
@@ -487,25 +492,33 @@ def run(config_path: str, out_dir: str = None, seed: int = None) -> int:
     from .errors import GUARD_ERRORS, ConfigurationError
 
     try:
-        config = load_config(config_path)
-        from .model import ModelSpec, build_model
-
-        mdl_block = config["model"]
-        spec = ModelSpec(kind=mdl_block["kind"], N=mdl_block["N"], Q=mdl_block["Q"],
-                         h=mdl_block.get("h"), m=mdl_block.get("m"))
-        model = build_model(spec)
-        if seed is None:
-            seed = int(config.get("seed", 0))
-        out = Path(out_dir or config.get("out_dir", "runs"))
-        out.mkdir(parents=True, exist_ok=True)
-        task = config["task"]
-        passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
+        return _run(config_path, out_dir, seed)
     except ConfigurationError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
     except GUARD_ERRORS + (OverflowError, FloatingPointError) as exc:
         print(f"error: numerical guard tripped: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect of the program, not of the config: keep it apart from 1
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
+
+
+def _run(config_path: str, out_dir, seed) -> int:
+    config = load_config(config_path)
+    from .model import ModelSpec, build_model
+
+    mdl_block = config["model"]
+    spec = ModelSpec(kind=mdl_block["kind"], N=mdl_block["N"], Q=mdl_block["Q"],
+                     h=mdl_block.get("h"), m=mdl_block.get("m"))
+    model = build_model(spec)
+    if seed is None:
+        seed = int(config.get("seed", 0))
+    out = Path(out_dir or config.get("out_dir", "runs"))
+    out.mkdir(parents=True, exist_ok=True)
+    task = config["task"]
+    passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
 
     digest = config_digest(config, seed)
     csv_paths = []

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -117,6 +118,33 @@ class ModelProblem:
         """L-Japanese bracket <xi> = (1 + |lambda_xi|^2)^(1/(2m))."""
         lam = self.lam(xi)
         return (1.0 + np.abs(lam) ** 2) ** (1.0 / (2.0 * self.order))
+
+    def index_scalars(self, xi: int) -> tuple:
+        """(lambda_xi, <xi>) for one integer index, as the Python scalars a
+        symbol evaluator receives.  Evaluated on 0-d arrays: the array
+        evaluation of <xi> can differ in the last bit on torus_laplacian."""
+        return complex(self.lam(xi)), float(self.bracket_val(xi))
+
+    def window_scalars(self, margin: int) -> tuple:
+        """(xi, lambda_xi, <xi>) for xi = -N-margin..N+margin, from
+        index_scalars once per margin and then shared by every table."""
+        rows = self._window_scalars.get(margin)
+        if rows is None:
+            M = self.N + margin
+            rows = tuple((xi, *self.index_scalars(xi)) for xi in range(-M, M + 1))
+            self._window_scalars[margin] = rows
+        return rows
+
+    @cached_property
+    def _window_scalars(self) -> dict:
+        return {}
+
+    @cached_property
+    def weighted_dual(self) -> np.ndarray:
+        """w * conj(v): the left factor of every Galerkin matrix; read-only."""
+        wd = self.w * self.v.conj()
+        wd.flags.writeable = False
+        return wd
 
     def u_at(self, xs, xi: int) -> np.ndarray:
         """u_xi sampled at arbitrary points xs in [0, 1]."""

@@ -113,8 +113,7 @@ def galerkin_matrix(model: ModelProblem, sym: Symbol) -> GalerkinMatrix:
     The cached arrays are read-only, so no caller can corrupt the cache."""
     key = ("galerkin", model.token)
     if key not in sym._cache:
-        M = np.einsum("ey,y,ky,ky->ek", model.v.conj(), model.w, model.u,
-                      sym.table(model, 0), optimize=True)
+        M = model.weighted_dual @ (sym.table(model, 0) * model.u).T
         M.flags.writeable = False
         sym._cache[key] = GalerkinMatrix(matrix=M)
     return sym._cache[key]

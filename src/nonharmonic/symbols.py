@@ -185,24 +185,27 @@ class Symbol:
             raise WindowExhaustedError(
                 f"symbol {self.name!r} read at xi={xi} beyond declared margin {self.margin}"
             )
-        out = self.fn(model.x, xi, complex(model.lam(xi)), float(model.bracket_val(xi)))
+        out = self.fn(model.x, xi, *model.index_scalars(xi))
         return np.broadcast_to(np.asarray(out, dtype=complex), (model.Q,)).copy()
 
     def table(self, model: ModelProblem, margin: int = 0) -> np.ndarray:
-        """Sample table over {-N-margin, ..., N+margin}; cached per model."""
+        """Sample table over {-N-margin, ..., N+margin}; cached per model.
+        An evaluator is called once per index, each result broadcast to the grid."""
         key = (model.token, margin)
         if key in self._cache:
             return self._cache[key]
+        self._check_model(model)
+        if self.margin is not None and margin > self.margin:
+            raise WindowExhaustedError(
+                f"symbol {self.name!r} has margin {self.margin}, requested {margin}"
+            )
         if self._table is not None:
-            self._check_model(model)
-            if margin > self.margin:
-                raise WindowExhaustedError(
-                    f"symbol {self.name!r} has margin {self.margin}, requested {margin}"
-                )
             tab = trim_window(self._table, self.margin, margin)
         else:
-            M = model.N + margin
-            tab = np.stack([self.values(model, xi) for xi in range(-M, M + 1)])
+            rows = model.window_scalars(margin)
+            tab = np.empty((len(rows), model.Q), dtype=complex)
+            for i, (xi, lam, br) in enumerate(rows):
+                tab[i] = self.fn(model.x, xi, lam, br)
         self._cache[key] = tab
         return tab
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nonharmonic import cli
 from nonharmonic.cli import run
 
 
@@ -84,6 +85,14 @@ _SYMBOL_ORDER = {"model": BASE_MODEL, "task": "symbol-order"}
      "params": {"symbol": {"name": "bracket_power", "power": 2}, "order": 2, "n_terms": []}},
     {"model": BASE_MODEL, "task": "compose",
      "params": {"a": {"name": "bracket_power"}, "b": {"name": "exp_mode"}, "terms": []}},
+    # the monotone check compares neighbouring terms
+    {"model": BASE_MODEL, "task": "compose",
+     "params": {"a": {"name": "bracket_power"}, "b": {"name": "x_modulated_bracket"},
+                "terms": [1]}},
+    # the x-dependent check is the decrease from the first entry to the last
+    {"model": {"kind": "torus_derivative", "N": 16, "Q": 128}, "task": "parametrix",
+     "params": {"symbol": {"name": "x_modulated_bracket", "power": 2}, "order": 2,
+                "n_terms": [2]}},
     {"model": BASE_MODEL, "task": "funcalc",
      "params": {"symbol": {"name": "bracket_power", "power": 2}, "functions": []}},
     {"model": BASE_MODEL, "task": "l2norm",
@@ -100,6 +109,25 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, doc):
     assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config:")
+    assert len(err.splitlines()) == 1
+
+
+def test_one_entry_parametrix_of_a_multiplier_passes(tmp_path):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "parametrix",
+                                  "params": {"symbol": {"name": "bracket_power", "power": 2},
+                                             "order": 2, "n_terms": [2]}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 0
+
+
+def test_internal_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(model, params, seed):
+        raise RuntimeError("runner defect\nsecond line")
+
+    monkeypatch.setitem(cli._RUNNERS, "model-check", broken)
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check"})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: RuntimeError: runner defect")
     assert len(err.splitlines()) == 1
 
 

@@ -229,6 +229,17 @@ def test_galerkin_matrix_cached_read_only(torus, hmodel):
     assert np.array_equal(fresh, M)
 
 
+@pytest.mark.parametrize("N", [4, 16, 32])
+@pytest.mark.parametrize("kind,h", [("torus_derivative", None), ("h_derivative", 2.0),
+                                    ("torus_laplacian", None)])
+def test_galerkin_matrix_equals_einsum(kind, h, N):
+    m = build_model(ModelSpec(kind=kind, N=N, Q=8 * N, h=h))
+    for sym in registry_symbols(m):
+        oracle = np.einsum("ey,y,ky,ky->ek", m.v.conj(), m.w, m.u, sym.table(m, 0),
+                           optimize=True)
+        assert np.array_equal(galerkin_matrix(m, sym).matrix, oracle), sym.name
+
+
 def test_galerkin_spectrum_cached_read_only(torus):
     sym = make_symbol("x_modulated_bracket", power=1.0)
     G = galerkin_matrix(torus, sym)

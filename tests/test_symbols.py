@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nonharmonic.errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
-from nonharmonic.model import ModelSpec, build_model
+from nonharmonic.model import ModelProblem, ModelSpec, build_model
 from nonharmonic.symbols import (DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE, DEFAULT_MARGIN,
                                  AdmissibleFamily, Symbol, apply_D, apply_Delta,
                                  apply_Delta_star, d_operator_transform, default_family,
@@ -215,6 +215,50 @@ def test_every_read_of_a_foreign_table_rejected(torus, read):
     foreign = Symbol.from_table(other, make_symbol("constant").table(other, 1), 1)
     with pytest.raises(ConfigurationError):
         read(foreign, torus)
+
+
+def test_declared_margin_bounds_table_and_values(torus):
+    sym = make_symbol("bracket_power", margin=2)
+    with pytest.raises(WindowExhaustedError):
+        sym.table(torus, 3)
+    for xi in (torus.N + 3, -torus.N - 3):
+        with pytest.raises(WindowExhaustedError):
+            sym.values(torus, xi)
+
+
+def timedep_generator(t):
+    """A fresh x-modulated generator per time, as a time-stepping factory builds it."""
+    scale = 1.0 + 5.0 * t
+    return Symbol(fn=lambda x, xi, lam, br: -scale * (1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+                  * br**2 + 0.0j, order=2.0, name=f"K({t:g})")
+
+
+def every_registry_symbol(model):
+    return [make_symbol("bracket_power", power=1.5),
+            make_symbol("lambda_multiplier", order=model.order),
+            make_symbol("constant", value=2.0), make_symbol("x_modulated_bracket", power=1.0),
+            make_symbol("exp_mode", mode=1, power=0.5), make_symbol("mode_indicator", mode=1),
+            timedep_generator(0.3)]
+
+
+@pytest.mark.parametrize("margin", [0, DEFAULT_MARGIN])
+def test_table_equals_stacked_values(models, margin):
+    for name in ("torus_derivative", "h_derivative_2", "torus_laplacian"):
+        m = models[name]
+        M = m.N + margin
+        for sym in every_registry_symbol(m):
+            stacked = np.stack([sym.values(m, xi) for xi in range(-M, M + 1)])
+            assert np.array_equal(sym.table(m, margin), stacked), (name, sym.name)
+
+
+def test_fresh_generators_share_one_window_of_eigenvalues(monkeypatch):
+    calls = []
+    lam = ModelProblem.lam
+    monkeypatch.setattr(ModelProblem, "lam", lambda self, xi: calls.append(xi) or lam(self, xi))
+    m = build_model(ModelSpec(kind="h_derivative", N=8, Q=64, h=2.0))
+    for k in range(200):
+        timedep_generator(k / 200).table(m, 0)
+    assert 0 < len(calls) <= 2 * (2 * m.N + 1)
 
 
 def test_unlimited_symbol_reports_default_margin(torus):
