@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -295,9 +296,27 @@ def resolvent_symbol(model: ModelProblem, a: Symbol, z: complex) -> Symbol:
 
 @dataclass
 class FunctionalCalculusResult:
+    """sigma_{F(A)}, the winding number of its contour, and what the
+    leading-term approximation is computed from when first read."""
+
     symbol: Symbol
-    leading_term: Symbol
     orientation: int
+    model: ModelProblem = field(repr=False)
+    a: Symbol = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
+    weighted_F: np.ndarray = field(repr=False)  # contour weights * F(nodes)
+
+    @cached_property
+    def leading_term(self) -> Symbol:
+        """The pointwise scalar integral of F(z) (a - z)^-1."""
+        tab = self.a.table(self.model, 0)
+        lead_tab = np.zeros_like(tab)
+        for z, wf in zip(self.nodes, self.weighted_F):
+            lead_tab += wf / (tab - z)
+        lead_tab *= -self.orientation / (2j * np.pi)
+        return Symbol.from_table(self.model, lead_tab, 0, order=self.symbol.order,
+                                 rho=self.a.rho, delta=self.a.delta,
+                                 name=f"F[{self.a.name}]_leading")
 
 
 def dunford_riesz(model: ModelProblem, a: Symbol, F: Callable, contour: Contour,
@@ -308,35 +327,51 @@ def dunford_riesz(model: ModelProblem, a: Symbol, F: Callable, contour: Contour,
     s < 0 for the operator calculus to be well defined; callers declare the
     exponent.  The contour must wind once around the whole truncated
     spectrum; its winding number is the orientation.  The leading-term
-    approximation (pointwise scalar integral of (a - z)^-1) is returned too.
+    approximation (pointwise scalar integral of (a - z)^-1) is computed
+    when first read.
     """
-    if decay_exponent is not None and decay_exponent >= 0:
-        raise ConfigurationError(f"declared decay exponent must be negative, got {decay_exponent}")
-    Fz = np.asarray(F(contour.nodes), dtype=complex)
-    if not np.all(np.isfinite(Fz)):
-        raise ConfigurationError("F is not finite at some contour node")
+    return dunford_riesz_many(model, a, [(F, decay_exponent)], contour)[0]
+
+
+def dunford_riesz_many(model: ModelProblem, a: Symbol,
+                       functions: Sequence[tuple[Callable, Optional[float]]],
+                       contour: Contour) -> list[FunctionalCalculusResult]:
+    """`dunford_riesz` of each (F, decay_exponent) pair over one contour.
+
+    M - zI is inverted once per node and the inverse shared by every F, so
+    each result is bitwise the one a call of its own gives.
+    """
+    Fzs = []
+    for F, decay_exponent in functions:
+        if decay_exponent is not None and decay_exponent >= 0:
+            raise ConfigurationError(
+                f"declared decay exponent must be negative, got {decay_exponent}")
+        Fz = np.asarray(F(contour.nodes), dtype=complex)
+        if not np.all(np.isfinite(Fz)):
+            raise ConfigurationError("F is not finite at some contour node")
+        Fzs.append(Fz)
 
     G = galerkin_matrix(model, a)
     sign = contour.check_clear_of(G.eigenvalues)
     M = G.matrix
     n = M.shape[0]
     eye = np.eye(n)
-    acc = np.zeros((n, n), dtype=complex)
-    for z, w, fz in zip(contour.nodes, contour.weights, Fz):
-        acc += (w * fz) * np.linalg.inv(M - z * eye)
-    FA = -sign / (2j * np.pi) * acc
-    sym = symbol_of_matrix(model, FA, order=(a.order * decay_exponent
-                                             if decay_exponent is not None else -a.order),
-                           rho=a.rho, delta=a.delta, name=f"F[{a.name}]")
+    accs = [np.zeros((n, n), dtype=complex) for _ in Fzs]
+    for k, (z, w) in enumerate(zip(contour.nodes, contour.weights)):
+        X = np.linalg.inv(M - z * eye)
+        for acc, Fz in zip(accs, Fzs):
+            acc += (w * Fz[k]) * X
 
-    tab = a.table(model, 0)
-    lead_tab = np.zeros_like(tab)
-    for z, wf in zip(contour.nodes, contour.weights * Fz):
-        lead_tab += wf / (tab - z)
-    lead_tab *= -sign / (2j * np.pi)
-    lead = Symbol.from_table(model, lead_tab, 0, order=sym.order, rho=a.rho,
-                             delta=a.delta, name=f"F[{a.name}]_leading")
-    return FunctionalCalculusResult(symbol=sym, leading_term=lead, orientation=sign)
+    results = []
+    for (_, decay_exponent), Fz, acc in zip(functions, Fzs, accs):
+        FA = -sign / (2j * np.pi) * acc
+        sym = symbol_of_matrix(model, FA, order=(a.order * decay_exponent
+                                                 if decay_exponent is not None else -a.order),
+                               rho=a.rho, delta=a.delta, name=f"F[{a.name}]")
+        results.append(FunctionalCalculusResult(symbol=sym, orientation=sign, model=model, a=a,
+                                                nodes=contour.nodes,
+                                                weighted_F=contour.weights * Fz))
+    return results
 
 
 def fractional_power_symbol(model: ModelProblem, a: Symbol, s: complex,

@@ -13,6 +13,12 @@ Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
 byte-identical CSV files.  The env var NONHARMONIC_THREADS caps internal
 (BLAS) parallelism; 0 or unset means automatic.
+
+A config is checked against CONFIG_SCHEMA and the params schema of its
+task by `schema_violation`, a validator in this module, not a library: it
+supports exactly the JSON Schema keywords these schemas use, namely type,
+properties, required, additionalProperties, enum, minimum,
+exclusiveMinimum, minItems, items and oneOf.
 """
 
 from __future__ import annotations
@@ -161,9 +167,81 @@ def config_digest(config: dict, seed: int) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def load_config(path: str) -> dict:
-    import jsonschema
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
+
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    # JSON Schema counts an integral float such as 2.0 as an integer
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def schema_violation(value, schema: dict, where: str):
+    """The first way `value` breaks `schema`, as one line, or None.
+
+    Supports the ten keywords named in the module docstring, with JSON
+    Schema's rules: a keyword applies only to values of its own type, and
+    a bool is neither an integer nor a number.  `additionalProperties` may
+    only be false; `enum` compares with ==, which suffices for the schemas'
+    strings.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPE_CHECKS[kind](value):
+        return f"{where}: {value!r} is not of type {kind!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{where}: {value!r} is not one of {schema['enum']!r}"
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{where}: {value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return f"{where}: {value!r} is not above {schema['exclusiveMinimum']!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{where}: needs at least {schema['minItems']} items, got {len(value)}"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                msg = schema_violation(item, schema["items"], f"{where}[{i}]")
+                if msg:
+                    return msg
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            return f"{where}: {missing[0]!r} is a required property"
+        extra = [key for key in value if key not in props]
+        if extra and schema.get("additionalProperties", True) is False:
+            return f"{where}: unexpected properties {', '.join(map(repr, extra))}"
+        for key, sub in props.items():
+            if key in value:
+                msg = schema_violation(value[key], sub, f"{where}.{key}")
+                if msg:
+                    return msg
+    if "oneOf" in schema:
+        matched = sum(schema_violation(value, sub, where) is None for sub in schema["oneOf"])
+        if matched != 1:
+            return f"{where}: matches {matched} of the {len(schema['oneOf'])} oneOf forms, not one"
+    return None
+
+
+def validate_config(config) -> None:
+    """Raise ConfigurationError unless `config` fits CONFIG_SCHEMA and its
+    params fit the schema of its task."""
+    from .errors import ConfigurationError
+
+    msg = schema_violation(config, CONFIG_SCHEMA, "config")
+    if msg is None:
+        msg = schema_violation(config.get("params", {}), _PARAMS_SCHEMAS[config["task"]],
+                               "params")
+    if msg is not None:
+        raise ConfigurationError(f"config schema violation: {msg}")
+
+
+def load_config(path: str) -> dict:
     from .errors import ConfigurationError
 
     try:
@@ -171,12 +249,7 @@ def load_config(path: str) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-        schema = _PARAMS_SCHEMAS[config["task"]]
-        jsonschema.validate(config.get("params", {}), schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(f"config schema violation: {exc.message}") from exc
+    validate_config(config)
     return config
 
 
@@ -345,7 +418,7 @@ def _task_parametrix(model, params, seed):
 def _task_funcalc(model, params, seed):
     import numpy as np
 
-    from .calculus import (Contour, dunford_riesz, fractional_power_symbol,
+    from .calculus import (Contour, dunford_riesz_many, fractional_power_symbol,
                            make_scalar_function)
 
     sym = _build_symbol(params["symbol"], model)
@@ -358,29 +431,35 @@ def _task_funcalc(model, params, seed):
     x_indep = _x_independent(tab0)
     contours = [(n, Contour.default_keyhole(model, sym, nodes_per_segment=n))
                 for n in (max(nps // 4, 4), max(nps // 2, 4), nps)]
-
-    rows = []
-    passed = True
-    summary = {"multiplier_oracle_asserted": x_indep}
+    names, functions = [], []
     for fspec in specs:
         if isinstance(fspec, str):
             fname, fkw = fspec, {}
         else:
             fkw = dict(fspec)
             fname = fkw.pop("name")
-        F, s = make_scalar_function(fname, **fkw)
-        errs = []
-        for n, contour in contours:
-            res = dunford_riesz(model, sym, F, contour, decay_exponent=s)
+        names.append(fname)
+        functions.append(make_scalar_function(fname, **fkw))
+
+    # each contour's resolvents are shared by every function; the rows are
+    # grouped by function, then contour
+    rows, errs = [[] for _ in names], [[] for _ in names]
+    for n, contour in contours:
+        results = dunford_riesz_many(model, sym, functions, contour)
+        for j, ((_, s), res) in enumerate(zip(functions, results)):
             got = res.symbol.table(model, 0)
             oracle = tab0**s if x_indep else res.leading_term.table(model, 0)
             rel = np.abs(got - oracle) / np.maximum(np.abs(oracle), 1e-300)
-            errs.append(float(np.max(rel)))
-            rows += _index_rows(model, (fname, 4 * n), got[:, 0].real, got[:, 0].imag,
-                                oracle[:, 0].real, oracle[:, 0].imag, np.max(rel, axis=1))
+            errs[j].append(float(np.max(rel)))
+            rows[j] += _index_rows(model, (names[j], 4 * n), got[:, 0].real, got[:, 0].imag,
+                                   oracle[:, 0].real, oracle[:, 0].imag, np.max(rel, axis=1))
+
+    passed = True
+    summary = {"multiplier_oracle_asserted": x_indep}
+    for fname, ferrs, res in zip(names, errs, results):  # the finest contour's results
         if x_indep:
-            mono = all(e1 <= e0 * (1 + 1e-9) or e1 <= 1e-13 for e0, e1 in zip(errs, errs[1:]))
-            ok = bool(errs[-1] <= tol and mono)
+            mono = all(e1 <= e0 * (1 + 1e-9) or e1 <= 1e-13 for e0, e1 in zip(ferrs, ferrs[1:]))
+            ok = bool(ferrs[-1] <= tol and mono)
         else:
             mono = None
             ok = True
@@ -392,10 +471,11 @@ def _task_funcalc(model, params, seed):
                 ok = ok and cross <= tol
             summary["inverse_sqrt_cross_check"] = cross
         passed = passed and ok
-        summary[fname] = {"errors": errs, "monotone": mono}
+        summary[fname] = {"errors": ferrs, "monotone": mono}
     return bool(passed), summary, [
         ("funcalc.csv", ["function", "total_nodes", "xi", "sigma_re", "sigma_im",
-                         "oracle_re", "oracle_im", "relative_error"], rows)]
+                         "oracle_re", "oracle_im", "relative_error"],
+         [row for frows in rows for row in frows])]
 
 
 def _task_garding(model, params, seed):

@@ -68,6 +68,7 @@ class Trajectory:
     times: np.ndarray
     coeffs: np.ndarray      # (steps+1, 2N+1)
     norms: np.ndarray       # per-step L2 norms in the sequence geometry
+    Kv: np.ndarray          # (steps+1, 2N+1) K(t_k) v_k, NaN where no K(t_k) was built
     scheme: str
     picard_iterations: int = 0
 
@@ -99,29 +100,35 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
     eye = np.eye(n)
     step_mats = {}  # c -> (Galerkin array, eye + c M): the last one per coefficient
 
-    def step_matrix(t: float, c: float, guard: bool) -> np.ndarray:
-        """eye + c M(t), built and guarded once per Galerkin array."""
+    def step_matrix(t: float, c: float, guard: bool):
+        """(M(t), eye + c M(t)), the latter built and guarded once per Galerkin array."""
         M = _generator(model, prob, t)
         if c not in step_mats or step_mats[c][0] is not M:
             A = eye + c * M
             if guard:
                 check_solvable(A, "time-step system")
             step_mats[c] = (M, A)
-        return step_mats[c][1]
+        return step_mats[c]
 
     coeffs = np.zeros((prob.steps + 1, n), dtype=complex)
     coeffs[0] = fourier(model, prob.u0).values
+    Kv = np.full_like(coeffs, np.nan)
     iterations = 0
 
     if prob.scheme == "crank_nicolson":
         for k in range(prob.steps):
-            explicit = step_matrix(times[k], 0.5 * dt, guard=False)
+            M, explicit = step_matrix(times[k], 0.5 * dt, guard=False)
+            Kv[k] = M @ coeffs[k]
             rhs = explicit @ coeffs[k] + dt * _forcing(model, prob, times[k] + 0.5 * dt)
-            coeffs[k + 1] = np.linalg.solve(step_matrix(times[k + 1], -0.5 * dt, guard=True), rhs)
+            M, implicit = step_matrix(times[k + 1], -0.5 * dt, guard=True)
+            coeffs[k + 1] = np.linalg.solve(implicit, rhs)
+        Kv[-1] = M @ coeffs[-1]
     elif prob.scheme == "backward_euler":
         for k in range(prob.steps):
             rhs = coeffs[k] + dt * _forcing(model, prob, times[k + 1])
-            coeffs[k + 1] = np.linalg.solve(step_matrix(times[k + 1], -dt, guard=True), rhs)
+            M, implicit = step_matrix(times[k + 1], -dt, guard=True)
+            coeffs[k + 1] = np.linalg.solve(implicit, rhs)
+            Kv[k + 1] = M @ coeffs[k + 1]
     else:  # picard
         mats = np.stack([_generator(model, prob, t) for t in times])
         fs = np.stack([_forcing(model, prob, t) for t in times])
@@ -148,9 +155,11 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
                 growths = 0
             prev_res = res
         coeffs = cur
+        for k in range(prob.steps + 1):
+            Kv[k] = mats[k] @ coeffs[k]
 
     norms = _norms_of(coeffs, gram)
-    return Trajectory(times=times, coeffs=coeffs, norms=norms, scheme=prob.scheme,
+    return Trajectory(times=times, coeffs=coeffs, norms=norms, Kv=Kv, scheme=prob.scheme,
                       picard_iterations=iterations)
 
 
@@ -250,13 +259,14 @@ def uniqueness_probe(model: ModelProblem, prob: EvolutionProblem, scale: float =
 
 
 def residual(model: ModelProblem, prob: EvolutionProblem, traj: Trajectory) -> np.ndarray:
-    """Central-difference defect || d/dt v - (K v + f) || at interior steps."""
+    """Central-difference defect || d/dt v - (K v + f) || at interior steps,
+    with the K(t_k) v_k that `solve_ivp` recorded on the trajectory."""
     dt = traj.times[1] - traj.times[0]
     gram = coefficient_gram(model)
     out = []
     for k in range(1, prob.steps):
         t = traj.times[k]
         defect = ((traj.coeffs[k + 1] - traj.coeffs[k - 1]) / (2.0 * dt)
-                  - (_generator(model, prob, t) @ traj.coeffs[k] + _forcing(model, prob, t)))
+                  - (traj.Kv[k] + _forcing(model, prob, t)))
         out.append(_norms_of(defect[None, :], gram)[0])
     return np.array(out)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from nonharmonic.calculus import (Contour, EllipticityCertificate, certify_parameter_ellipticity,
-                                  dunford_riesz, fractional_power_symbol, make_scalar_function,
-                                  negative_real_ray, parametrix, resolvent_symbol)
+                                  dunford_riesz, dunford_riesz_many, fractional_power_symbol,
+                                  make_scalar_function, negative_real_ray, parametrix,
+                                  resolvent_symbol)
 from nonharmonic.errors import (BranchCutError, ConfigurationError, EllipticityError,
                                 SpectrumProximityError, WindowExhaustedError)
 from nonharmonic.model import ModelSpec, build_model
-from nonharmonic.quantize import composition_oracle, galerkin_matrix
+from nonharmonic.quantize import composition_oracle, galerkin_matrix, symbol_of_matrix
 from nonharmonic.symbols import Symbol, make_symbol
 
 
@@ -244,6 +245,48 @@ def test_dunford_riesz_leading_term_matches_einsum_form(hmodel):
         assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
+def test_leading_term_computed_on_first_read_and_equal_to_eager_loop(hmodel):
+    a = make_symbol("x_modulated_bracket", power=2.0)
+    contour = Contour.default_keyhole(hmodel, a, nodes_per_segment=25)
+    F, s = make_scalar_function("inverse_sqrt")
+    res = dunford_riesz(hmodel, a, F, contour, decay_exponent=s)
+    assert "leading_term" not in vars(res)
+    # the loop dunford_riesz ran before every return
+    tab = a.table(hmodel, 0)
+    eager = np.zeros_like(tab)
+    for z, wf in zip(contour.nodes, contour.weights * np.asarray(F(contour.nodes), dtype=complex)):
+        eager += wf / (tab - z)
+    eager *= -res.orientation / (2j * np.pi)
+    assert np.array_equal(res.leading_term.table(hmodel, 0), eager)
+    assert res.leading_term is res.leading_term
+
+
+def per_function_reference(model, a, F, contour):
+    """sigma_{F(A)} with its own inversion at every node: the loop that
+    dunford_riesz_many shares between functions."""
+    Fz = np.asarray(F(contour.nodes), dtype=complex)
+    G = galerkin_matrix(model, a)
+    sign = contour.check_clear_of(G.eigenvalues)
+    eye = np.eye(G.matrix.shape[0])
+    acc = np.zeros_like(eye, dtype=complex)
+    for z, w, fz in zip(contour.nodes, contour.weights, Fz):
+        acc += (w * fz) * np.linalg.inv(G.matrix - z * eye)
+    return symbol_of_matrix(model, -sign / (2j * np.pi) * acc).table(model, 0)
+
+
+@pytest.mark.parametrize("symbol", ["bracket_power", "x_modulated_bracket"])
+def test_dunford_riesz_many_is_bitwise_one_call_per_function(hmodel, symbol):
+    a = make_symbol(symbol, power=2.0)
+    contour = Contour.default_keyhole(hmodel, a, nodes_per_segment=25)
+    functions = [make_scalar_function("inverse"), make_scalar_function("inverse_sqrt"),
+                 make_scalar_function("power", exponent=-0.25)]
+    results = dunford_riesz_many(hmodel, a, functions, contour)
+    for (F, s), res in zip(functions, results):
+        assert np.array_equal(res.symbol.table(hmodel, 0),
+                              per_function_reference(hmodel, a, F, contour))
+        assert res.symbol.order == a.order * s
+
+
 def test_dunford_riesz_zero_function(torus):
     a = make_symbol("bracket_power", power=2.0)
     F, s = make_scalar_function("zero")
@@ -260,7 +303,6 @@ def test_dunford_riesz_iterated_square_root(torus):
     half = dunford_riesz(torus, a, Fh, contour, decay_exponent=sh).symbol
     full = dunford_riesz(torus, a, Fi, contour, decay_exponent=si).symbol
     Mh = galerkin_matrix(torus, half).matrix
-    from nonharmonic.quantize import symbol_of_matrix
     squared = symbol_of_matrix(torus, Mh @ Mh).table(torus, 0)
     assert np.max(np.abs(squared - full.table(torus, 0))) <= 1e-8
 

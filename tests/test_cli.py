@@ -149,6 +149,19 @@ def test_no_scipy_module_loads(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_run_does_not_load_jsonschema(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import sys",
+        "import nonharmonic.cli as cli",
+        "assert cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0",
+        "assert 'jsonschema' not in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script, str(root / "configs" / "funcalc.json"),
+                           str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_thread_cap_set_before_numpy_loads():
     script = "\n".join([
         "import os, sys",
@@ -191,14 +204,18 @@ def test_funcalc_computes_one_spectrum_and_one_keyhole_per_node_count(tmp_path, 
 
     from nonharmonic.calculus import Contour
 
-    eigvals, keyhole = np.linalg.eigvals, Contour.default_keyhole
-    spectra, keyholes = [], []
+    eigvals, keyhole, inv = np.linalg.eigvals, Contour.default_keyhole, np.linalg.inv
+    spectra, keyholes, inversions = [], [], []
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(1) or eigvals(M))
     monkeypatch.setattr(Contour, "default_keyhole", classmethod(
         lambda cls, *a, **kw: keyholes.append(1) or keyhole(*a, **kw)))
+    monkeypatch.setattr(np.linalg, "inv", lambda A: inversions.append(1) or inv(A))
     cfg = Path(__file__).resolve().parent.parent / "configs" / "funcalc.json"
+    assert len(json.loads(cfg.read_text())["params"]["functions"]) == 3
     assert run(str(cfg), out_dir=str(tmp_path / "out")) == 0
-    assert (len(spectra), len(keyholes)) == (1, 3)
+    # one inversion per node of the 25-, 50- and 100-per-segment keyholes,
+    # shared by the three functions
+    assert (len(spectra), len(keyholes), len(inversions)) == (1, 3, 4 * (25 + 50 + 100))
 
 
 def test_shipped_configs_reproduce_csv_digests(tmp_path):
@@ -345,3 +362,101 @@ def test_shipped_configs_all_pass(tmp_path):
     for cfg in sorted(cfg_dir.glob("*.json")):
         code = run(str(cfg), out_dir=str(tmp_path / cfg.stem))
         assert code == 0, cfg.name
+
+
+# values swapped in for every key and item of a shipped config: each JSON type,
+# bools, integral and fractional floats, every schema bound and its neighbours,
+# empty and short arrays, both oneOf forms, and every enum member
+_PROBES = [None, True, False, -1, 0, 1, 2, 3, 4, 5, -1e-300, 0.0, 1e-300, 1.0, 2.0, 2.5,
+           4.0, float("nan"), "", "x", [], [0], [1], [1, 2], [1.0, 2.5], [True, 2], ["inverse"],
+           [{"name": "power"}], [{}], [7], {}, {"name": "constant"},
+           {"name": "constant", "value": True}, {"name": "constant", "mode": 1.0},
+           "torus_derivative", "h_derivative", "torus_laplacian", *cli.TASKS,
+           "crank_nicolson", "backward_euler", "picard", "dissipative", "literal", "off"]
+
+
+def _paths(doc, path=()):
+    yield path
+    children = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_DELETE = object()
+
+
+def _mutations(config):
+    """Copies of config with one key or item deleted or replaced by a probe,
+    or with one property added to one object."""
+    import copy
+
+    for path in _paths(config):
+        for probe in [_DELETE, *_PROBES] if path else []:
+            doc = copy.deepcopy(config)
+            parent = _node(doc, path[:-1])
+            if probe is _DELETE:
+                parent.pop(path[-1])
+            else:
+                parent[path[-1]] = copy.deepcopy(probe)
+            yield doc
+        if isinstance(_node(config, path), dict):
+            doc = copy.deepcopy(config)
+            _node(doc, path)["bogus"] = 1
+            yield doc
+
+
+def _schema_keywords(schema):
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    subs += [schema["items"]] if "items" in schema else []
+    return set(schema).union(*map(_schema_keywords, subs))
+
+
+def test_config_validator_agrees_with_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    from nonharmonic.errors import ConfigurationError
+
+    keywords = set().union(*map(_schema_keywords,
+                                [cli.CONFIG_SCHEMA, *cli._PARAMS_SCHEMAS.values()]))
+    assert keywords == {"type", "properties", "required", "additionalProperties", "enum",
+                        "minimum", "exclusiveMinimum", "minItems", "items", "oneOf"}
+    # jsonschema.validate picks the latest draft for a schema without $schema
+    checkers = {task: jsonschema.Draft202012Validator(schema)
+                for task, schema in cli._PARAMS_SCHEMAS.items()}
+    top = jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA)
+
+    def reference(config):
+        return top.is_valid(config) and checkers[config["task"]].is_valid(
+            config.get("params", {}))
+
+    def ours(config):
+        try:
+            cli.validate_config(config)
+        except ConfigurationError as exc:
+            assert "\n" not in str(exc)
+            return False
+        return True
+
+    root = Path(__file__).resolve().parent.parent / "configs"
+    verdicts, disagreements = [], []
+    for path in sorted(root.glob("*.json")):
+        config = json.loads(path.read_text())
+        for doc in [config, *_mutations(config)]:
+            want = reference(doc)
+            verdicts.append(want)
+            if ours(doc) != want:
+                disagreements.append((path.name, doc, want))
+    assert not disagreements, disagreements[:5]
+    assert len(verdicts) > 3000 and 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+    # a oneOf that both forms match is as invalid as one that neither matches
+    both = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+    for value in (1, 2.0, 2.5, True, "x", [], {}):
+        assert (cli.schema_violation(value, both, "v") is None) == \
+            jsonschema.Draft202012Validator(both).is_valid(value), value

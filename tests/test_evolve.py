@@ -3,11 +3,12 @@ import pytest
 
 from nonharmonic.errors import (ConfigurationError, EllipticityError, PicardDivergenceError,
                                 SpectrumProximityError)
-from nonharmonic.evolve import (EvolutionProblem, energy_check, residual, solve_ivp,
+from nonharmonic.evolve import (EvolutionProblem, _norms_of, energy_check, residual, solve_ivp,
                                 uniqueness_probe)
 from nonharmonic.model import ModelSpec, build_model
+from nonharmonic.quantize import galerkin_matrix
 from nonharmonic.symbols import Symbol, make_symbol
-from nonharmonic.transform import fourier
+from nonharmonic.transform import coefficient_gram, fourier
 
 
 def neg_laplace_symbol():
@@ -234,3 +235,46 @@ def test_time_step_guard_trips_on_whole_spectrum_collision(models, model_name, s
                             scheme=scheme, ellipticity_gate="off")
     with pytest.raises(SpectrumProximityError):
         solve_ivp(model, prob)
+
+
+# ---------------------------------------------------------------------------
+# residual reads the K(t_k) v_k that solve_ivp recorded
+# ---------------------------------------------------------------------------
+
+def rebuilt_residual(model, prob, traj):
+    """The residual with K(t_k) rebuilt at every interior step: the form the
+    recorded products replace."""
+    dt = traj.times[1] - traj.times[0]
+    gram = coefficient_gram(model)
+    out = []
+    for k in range(1, prob.steps):
+        t = traj.times[k]
+        K = galerkin_matrix(model, prob.symbol_factory(t)).matrix
+        f = fourier(model, prob.forcing(t)).values
+        defect = (traj.coeffs[k + 1] - traj.coeffs[k - 1]) / (2.0 * dt) - (K @ traj.coeffs[k] + f)
+        out.append(_norms_of(defect[None, :], gram)[0])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("model_name", ["torus_derivative", "h_derivative_2"])
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler", "picard"])
+def test_residual_builds_no_generator_and_keeps_its_bits(models, model_name, scheme):
+    model = models[model_name]
+    order = 0.0 if scheme == "picard" else 2.0
+    built = []
+
+    def factory(t):  # a fresh symbol per call, as a time-dependent generator gives
+        built.append(t)
+        scale = 1.0 + 5.0 * t
+        return Symbol(fn=lambda x, xi, lam, br: -scale * (1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+                      * br**order + 0.0j, order=order, name=f"K({t:g})")
+
+    forcing_row = model.u_row(2)
+    prob = EvolutionProblem(symbol_factory=factory, u0=model.u_row(1), T=0.1,
+                            steps=200 if scheme == "backward_euler" else 50, scheme=scheme,
+                            forcing=lambda t: np.cos(t) * forcing_row, order_m=order)
+    traj = solve_ivp(model, prob)
+    built.clear()
+    res = residual(model, prob, traj)
+    assert built == []
+    assert np.array_equal(res, rebuilt_residual(model, prob, traj))
