@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -259,30 +259,58 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
 def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
                     basis_out: np.ndarray, dual_in: np.ndarray) -> np.ndarray:
     """C[x, xi, eta] = quad_y(q^alpha(x, y) conj(dual_eta(y)) basis_xi(y)) for
-    the rows xi of basis_out and eta of dual_in."""
+    the rows xi of basis_out and eta of dual_in.
+
+    The array is indexed (x, xi, eta) but laid out with x as the fastest
+    axis; `_delta` contracts its (xi, eta, x) view, which is contiguous."""
     q_pow = family.power_xy(model.x, model.x, alpha)  # (Q, Q)
     return np.einsum("xy,ey,gy,y->xge", q_pow, dual_in.conj(), basis_out, model.w,
                      optimize=True)
 
 
-def _delta(model: ModelProblem, sym: Symbol, alpha: int, family: AdmissibleFamily,
-           basis: Callable, dual: Callable, label: str) -> Symbol:
+def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: AdmissibleFamily,
+           basis: Callable, dual: Callable, label: str) -> list[Symbol]:
     """Delta^alpha against a (basis b, dual basis d, family q) triple, given
     b and d as block builders (lo, hi) -> rows:
-    b_xi(x)^-1 sum_eta b_eta(x) a(x, eta) quad_y(q^alpha(x, y) conj(d_eta(y)) b_xi(y))."""
-    if alpha == 0:
-        return sym
-    in_margin, out_margin = sym.margin_after(model, alpha, f"{label}^{alpha}")
-    in_off = model.N + in_margin
-    out_off = model.N + out_margin
+    b_xi(x)^-1 sum_eta b_eta(x) a(x, eta) quad_y(q^alpha(x, y) conj(d_eta(y)) b_xi(y)).
 
-    tab = sym.table(model, in_margin)                # (2*in_off+1, Q)
-    B_in = basis(-in_off, in_off)                    # (2*in_off+1, Q)
-    B_out = basis(-out_off, out_off)
-    C = coupling_tensor(model, family, alpha, B_out, dual(-in_off, in_off))  # (Q, 2*out+1, 2*in+1)
-    summed = np.einsum("xge,ex->gx", C, B_in * tab, optimize=True)
-    return Symbol.from_table(model, summed / B_out, out_margin, order=sym.order - sym.rho * alpha,
-                             rho=sym.rho, delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]")
+    The coupling tensor depends on the window but not on the symbol, so it
+    is built once per distinct input margin among `syms` and dropped before
+    the next one is built."""
+    if alpha == 0:
+        return list(syms)
+    windows = {}  # input margin -> positions in syms
+    for i, sym in enumerate(syms):
+        in_margin, _ = sym.margin_after(model, alpha, f"{label}^{alpha}")
+        windows.setdefault(in_margin, []).append(i)
+
+    out = [None] * len(syms)
+    for in_margin, members in windows.items():
+        out_margin = in_margin - alpha
+        in_off = model.N + in_margin
+        out_off = model.N + out_margin
+        B_in = basis(-in_off, in_off)                # (2*in_off+1, Q)
+        B_out = basis(-out_off, out_off)
+        # (2*out_off+1, 2*in_off+1, Q) view of the (Q, xi, eta) tensor
+        C = coupling_tensor(model, family, alpha, B_out, dual(-in_off, in_off)).transpose(1, 2, 0)
+        for i in members:
+            sym = syms[i]
+            summed = np.einsum("gex,ex->gx", C, B_in * sym.table(model, in_margin))
+            out[i] = Symbol.from_table(model, summed / B_out, out_margin,
+                                       order=sym.order - sym.rho * alpha, rho=sym.rho,
+                                       delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]")
+        del C
+    return out
+
+
+def apply_Delta_many(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
+                     family: AdmissibleFamily = DEFAULT_FAMILY) -> list[Symbol]:
+    """`apply_Delta` of each symbol in `syms`.
+
+    One coupling tensor serves every symbol read over the same window, so
+    each result is bitwise the one a call of its own gives.
+    """
+    return _delta(model, syms, alpha, family, model.u_block, model.v_block, "Delta")
 
 
 def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int,
@@ -294,14 +322,14 @@ def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int,
     For the built-in models with the default family this equals the forward
     difference iterated alpha times, which tests exploit as an oracle.
     """
-    return _delta(model, sym, alpha, family, model.u_block, model.v_block, "Delta")
+    return apply_Delta_many(model, [sym], alpha, family)[0]
 
 
 def apply_Delta_star(model: ModelProblem, sym: Symbol, alpha: int,
                      family: AdmissibleFamily = DEFAULT_FAMILY_TILDE) -> Symbol:
     """Adjoint difference operator: the same construction with u and v
     swapped and the conjugate family q~ as default."""
-    return _delta(model, sym, alpha, family, model.v_block, model.u_block, "Delta~")
+    return _delta(model, [sym], alpha, family, model.v_block, model.u_block, "Delta~")[0]
 
 
 def seminorm(model: ModelProblem, sym: Symbol, l: float, alpha: int, beta: int,
@@ -347,8 +375,7 @@ def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float,
     implied, values = [], {}
     d_beta = [apply_D(model, sym, beta, family) for beta in range(max_beta + 1)]
     for alpha in range(max_alpha + 1):
-        for beta in range(max_beta + 1):
-            work = apply_Delta(model, d_beta[beta], alpha, family)
+        for beta, work in enumerate(apply_Delta_many(model, d_beta, alpha, family)):
             profile = np.max(np.abs(work.table(model, 0)), axis=1)
             values[(alpha, beta)] = float(
                 np.max(profile * model.bracket_val(model.indices)

@@ -5,8 +5,8 @@ from nonharmonic.errors import AdmissibilityError, ConfigurationError, WindowExh
 from nonharmonic.model import ModelProblem, ModelSpec, build_model
 from nonharmonic.symbols import (DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE, DEFAULT_MARGIN,
                                  AdmissibleFamily, Symbol, apply_D, apply_Delta,
-                                 apply_Delta_star, d_operator_transform, default_family,
-                                 estimate_order, make_symbol, seminorm)
+                                 apply_Delta_many, apply_Delta_star, d_operator_transform,
+                                 default_family, estimate_order, make_symbol, seminorm)
 
 TWO_PI_I = 2j * np.pi
 
@@ -294,3 +294,105 @@ def test_delta_star_equals_written_out_adjoint(hmodel, alpha, backing):
         sym = Symbol.from_table(hmodel, sym.table(hmodel, 5), 5, order=1.0)
     out = apply_Delta_star(hmodel, sym, alpha)
     assert np.array_equal(out.table(hmodel, out.margin), delta_star_reference(hmodel, sym, alpha))
+
+
+def delta_reference(model, sym, alpha):
+    """The difference operator written out on its own: the u-basis coupled
+    against conj(v) through the default family, contracted as a batched
+    product over the (x, xi, eta) tensor."""
+    family = default_family()
+    in_margin = sym.available_margin(model)
+    out_margin = in_margin - alpha
+    in_off, out_off = model.N + in_margin, model.N + out_margin
+    tab = sym.table(model, in_margin)
+    q_pow = family.power_xy(model.x, model.x, alpha)
+    U_in = model.u_block(-in_off, in_off)
+    U_out = model.u_block(-out_off, out_off)
+    V_in = model.v_block(-in_off, in_off)
+    C = np.einsum("xy,ey,gy,y->xge", q_pow, V_in.conj(), U_out, model.w, optimize=True)
+    summed = np.einsum("xge,ex->gx", C, U_in * tab, optimize=True)
+    return summed / U_out
+
+
+@pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("backing", ["fn", "table"])
+def test_delta_equals_written_out_difference(models, name, alpha, backing):
+    m = models[name]
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    if backing == "table":
+        sym = Symbol.from_table(m, sym.table(m, 5), 5, order=1.0)
+    out = apply_Delta(m, sym, alpha)
+    assert np.array_equal(out.table(m, out.margin), delta_reference(m, sym, alpha))
+
+
+def mixed_margin_symbols(model):
+    """fn- and table-backed symbols over two input windows (margins 4 and 5)."""
+    modulated = make_symbol("x_modulated_bracket", power=1.0)
+    return [modulated,
+            Symbol.from_table(model, make_symbol("exp_mode", mode=1, power=0.5).table(model, 5), 5,
+                              order=0.5, name="wide"),
+            make_symbol("bracket_power", power=2.0),
+            Symbol.from_table(model, modulated.table(model, 4), 4, order=1.0, name="narrow")]
+
+
+@pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_apply_Delta_many_equals_one_call_per_symbol(models, name, alpha):
+    m = models[name]
+    syms = mixed_margin_symbols(m)
+    many = apply_Delta_many(m, syms, alpha)
+    assert len(many) == len(syms)
+    for got, sym in zip(many, syms):
+        one = apply_Delta(m, sym, alpha)
+        assert (got.margin, got.order, got.name) == (one.margin, one.order, one.name)
+        assert got.margin == sym.available_margin(m) - alpha
+        assert np.array_equal(got.table(m, got.margin), one.table(m, one.margin)), sym.name
+
+
+def test_apply_Delta_many_order_zero_and_empty(torus):
+    syms = mixed_margin_symbols(torus)
+    out = apply_Delta_many(torus, syms, 0)
+    assert len(out) == len(syms) and all(a is b for a, b in zip(out, syms))
+    assert apply_Delta_many(torus, [], 2) == []
+
+
+@pytest.fixture
+def tensor_builds(monkeypatch):
+    """Every coupling tensor built while the test runs, as weak references to
+    the arrays that own their memory (the tensor itself may be a view)."""
+    import weakref
+
+    import nonharmonic.symbols as symbols
+
+    build, refs = symbols.coupling_tensor, []
+
+    def counted(*args, **kwargs):
+        # at most one tensor at a time: the previous one is gone before the next is built
+        assert all(ref() is None for ref in refs)
+        C = build(*args, **kwargs)
+        refs.append(weakref.ref(C if C.base is None else C.base))
+        return C
+
+    monkeypatch.setattr(symbols, "coupling_tensor", counted)
+    return refs
+
+
+def test_apply_Delta_many_names_the_exhausted_symbol(torus, tensor_builds):
+    short = Symbol.from_table(torus, make_symbol("constant").table(torus, 1), 1, name="short")
+    with pytest.raises(WindowExhaustedError, match="'short'"):
+        apply_Delta_many(torus, [make_symbol("bracket_power", power=1.0), short], 2)
+    assert tensor_builds == []
+
+
+def test_apply_Delta_many_builds_one_tensor_per_window_and_keeps_none(torus, tensor_builds):
+    out = apply_Delta_many(torus, mixed_margin_symbols(torus), 2)
+    assert len(out) == 4 and len(tensor_builds) == 2  # margins 4 and 5
+    assert all(ref() is None for ref in tensor_builds)
+
+
+def test_estimate_order_builds_one_tensor_per_alpha(tensor_builds):
+    m = build_model(ModelSpec(kind="torus_derivative", N=8, Q=64))
+    estimate_order(m, make_symbol("x_modulated_bracket", power=1.0), 1.0, 0.0, max_alpha=2)
+    assert len(tensor_builds) == 2
+    assert all(ref() is None for ref in tensor_builds)
