@@ -4,8 +4,8 @@ sections.
 
 The Garding estimator is empirical by design: it draws seeded random
 coefficient vectors, evaluates the quadratic form Re(Au, u) directly on
-the grid, and fits the largest C1 in (0, 1/C0] together with the smallest
-C2 >= 0 such that
+the grid, sets C1 = 1/C0 from the positivity precheck (`ellipticity_floor`,
+which the evolution gate shares) and fits the smallest C2 >= 0 such that
 
     Re(Au, u) >= C1 ||u||_{H^{m/2}}^2 - C2 ||u||_{L2}^2
 
@@ -15,7 +15,7 @@ inequality is dimensionally consistent only in that form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,30 +37,33 @@ class GardingReport:
     l2_sq: np.ndarray           # per-trial ||u||^2_{L2}
     violations: int
     verdict: bool
-    sweep: list = field(default_factory=list)
+
+
+def ellipticity_floor(model: ModelProblem, re_tab: np.ndarray, m: float) -> float:
+    """min of re_tab / <xi>^m over the window and the grid.  The positivity
+    precheck passes when it is > 0, and then C0 = 1 / floor."""
+    br = model.bracket_val(model.indices)
+    return float(np.min(re_tab / (br**m)[:, None]))
 
 
 def garding_estimate(model: ModelProblem, a: Symbol, m: float, trials: int = 200,
-                     seed: int = 0, c1_grid: int = 257) -> GardingReport:
+                     seed: int = 0) -> GardingReport:
     """Estimate Garding constants for the real-part symbol of a.
 
     Raises EllipticityError when A = Re a fails the positivity precheck
     |<xi>^m A^-1| <= C0 on the sampled window.
     """
-    tab = a.table(model, 0)
-    A_tab = tab.real
-    br = model.bracket_val(model.indices)
-    weighted = A_tab / (br**m)[:, None]
-    if np.min(weighted) <= 0:
+    floor = ellipticity_floor(model, a.table(model, 0).real, m)
+    if floor <= 0:
         raise EllipticityError("real-part symbol is not positive elliptic on the window")
-    C0 = float(1.0 / np.min(weighted))
+    C0 = 1.0 / floor
 
     rng = np.random.default_rng(seed)
     n = len(model.indices)
     quad_forms = np.empty(trials)
     sob_sq = np.empty(trials)
     l2_sq = np.empty(trials)
-    sob_weights = br**m
+    sob_weights = model.bracket_val(model.indices) ** m
     for t in range(trials):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c /= np.linalg.norm(c)
@@ -73,18 +76,15 @@ def garding_estimate(model: ModelProblem, a: Symbol, m: float, trials: int = 200
         sob_sq[t] = float(np.real(np.sum(sob_weights * c * np.conj(fstar))))
         l2_sq[t] = float(np.real(model.quad(np.abs(u) ** 2)))
 
-    c1_values = np.linspace(1.0 / C0 / c1_grid, 1.0 / C0, c1_grid)
-    sweep = []
-    for c1 in c1_values:
-        deficit = (c1 * sob_sq - quad_forms) / l2_sq
-        sweep.append((float(c1), float(max(0.0, np.max(deficit)))))
-    C1, C2 = sweep[-1]
+    # 1/C0, not the floor itself: 1/(1/floor) need not equal floor
+    C1 = 1.0 / C0
+    C2 = float(max(0.0, np.max((C1 * sob_sq - quad_forms) / l2_sq)))
 
     margins = quad_forms - C1 * sob_sq + C2 * l2_sq
     violations = int(np.sum(margins < -1e-9 * np.maximum(1.0, np.abs(quad_forms))))
     return GardingReport(C0=C0, C1=C1, C2=C2, quad_forms=quad_forms, sobolev_sq=sob_sq,
                          l2_sq=l2_sq, violations=violations,
-                         verdict=bool(violations == 0), sweep=sweep)
+                         verdict=bool(violations == 0))
 
 
 def interpolation_constant(model: ModelProblem, s: float, t: float, eps: float,
@@ -118,7 +118,7 @@ def hilbert_schmidt_norm(model: ModelProblem, a: Symbol) -> float:
     return float(np.sqrt(np.real(np.einsum("i,ij,j->", model.w, np.abs(K) ** 2, model.w))))
 
 
-def l2_operator_norm(model_or_spec, a: Symbol, truncations: Sequence[int]) -> np.ndarray:
+def l2_operator_norm(spec: ModelSpec, a: Symbol, truncations: Sequence[int]) -> np.ndarray:
     """Largest singular value of the Galerkin section at each truncation.
 
     For non-self-adjoint models the norm is taken in the sequence-space
@@ -130,12 +130,10 @@ def l2_operator_norm(model_or_spec, a: Symbol, truncations: Sequence[int]) -> np
     truncations = list(truncations)
     if truncations != sorted(truncations):
         raise ConfigurationError("truncations must be ascending")
-    spec0 = model_or_spec.spec if isinstance(model_or_spec, ModelProblem) else model_or_spec
     norms = []
     for N in truncations:
-        Q = max(spec0.Q, 4 * (2 * N + 1))
-        spec = ModelSpec(kind=spec0.kind, N=N, Q=Q, h=spec0.h, m=spec0.m)
-        sub = build_model(spec)
+        Q = max(spec.Q, 4 * (2 * N + 1))
+        sub = build_model(ModelSpec(kind=spec.kind, N=N, Q=Q, h=spec.h, m=spec.m))
         M = galerkin_matrix(sub, a).matrix
         G = coefficient_gram(sub)
         if np.allclose(G, np.eye(G.shape[0]), atol=1e-12):

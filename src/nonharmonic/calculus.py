@@ -374,11 +374,9 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
     return results
 
 
-def fractional_power_symbol(model: ModelProblem, a: Symbol, s: complex,
-                            margin: Optional[int] = None) -> Symbol:
+def fractional_power_symbol(model: ModelProblem, a: Symbol, s: complex) -> Symbol:
     """Pointwise principal power exp(s log a) of a positive-real-part symbol."""
-    if margin is None:
-        margin = a.available_margin(model)
+    margin = a.available_margin(model)
     tab = a.table(model, margin)
     on_cut = (tab.real <= 0) & (np.abs(tab.imag) < 1e-14 * np.maximum(1.0, np.abs(tab.real)))
     if np.any(on_cut):

@@ -5,9 +5,10 @@ Command shape:
     nonharmonic run --config cfg.json [--out DIR] [--seed U64]
     nonharmonic report --registry PATH
 
-Exit codes: 0 all assertions pass, 1 assertion failure, 2 invalid config,
-3 numerical guard tripped (floating-point overflow inside a task included),
-4 internal error (any other exception).
+Exit codes: 0 all assertions pass, 1 assertion failure, 2 invalid config
+(ConfigurationError), 3 numerical guard tripped (any other NonharmonicError,
+or a floating-point overflow inside a task), 4 internal error (any other
+exception).
 
 Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
@@ -32,7 +33,8 @@ import sys
 import time
 from pathlib import Path
 
-VERSION = "0.1.0"
+from . import __version__
+from .errors import ConfigurationError, NonharmonicError
 
 TASKS = ("model-check", "transform-check", "symbol-order", "compose", "parametrix",
          "funcalc", "garding", "l2norm", "evolve")
@@ -231,8 +233,6 @@ def schema_violation(value, schema: dict, where: str):
 def validate_config(config) -> None:
     """Raise ConfigurationError unless `config` fits CONFIG_SCHEMA and its
     params fit the schema of its task."""
-    from .errors import ConfigurationError
-
     msg = schema_violation(config, CONFIG_SCHEMA, "config")
     if msg is None:
         msg = schema_violation(config.get("params", {}), _PARAMS_SCHEMAS[config["task"]],
@@ -242,8 +242,6 @@ def validate_config(config) -> None:
 
 
 def load_config(path: str) -> dict:
-    from .errors import ConfigurationError
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -380,7 +378,6 @@ def _task_parametrix(model, params, seed):
     import numpy as np
 
     from .calculus import parametrix
-    from .errors import ConfigurationError
     from .quantize import composition_oracle
 
     sym = _build_symbol(params["symbol"], model)
@@ -569,32 +566,32 @@ _RUNNERS = {
 
 def run(config_path: str, out_dir: str = None, seed: int = None) -> int:
     """Execute one experiment; returns the process exit code."""
-    from .errors import GUARD_ERRORS, ConfigurationError
-
     try:
         return _run(config_path, out_dir, seed)
-    except ConfigurationError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    except GUARD_ERRORS + (OverflowError, FloatingPointError) as exc:
-        print(f"error: numerical guard tripped: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # a defect of the program, not of the config: keep it apart from 1
-        detail = " ".join(str(exc).split())
-        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        if isinstance(exc, ConfigurationError):
+            code, what = 2, "invalid config"
+        elif isinstance(exc, (NonharmonicError, OverflowError, FloatingPointError)):
+            code, what = 3, f"numerical guard tripped: {type(exc).__name__}"
+        else:  # a defect of the program, not of the config: keep it apart from 1
+            code, what = 4, f"internal: {type(exc).__name__}"
+        print(f"error: {what}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return code
 
 
 def _run(config_path: str, out_dir, seed) -> int:
     config = load_config(config_path)
+    if seed is None:
+        seed = int(config.get("seed", 0))
+    msg = schema_violation(seed, CONFIG_SCHEMA["properties"]["seed"], "--seed")
+    if msg is not None:
+        raise ConfigurationError(msg)
     from .model import ModelSpec, build_model
 
     mdl_block = config["model"]
     spec = ModelSpec(kind=mdl_block["kind"], N=mdl_block["N"], Q=mdl_block["Q"],
                      h=mdl_block.get("h"), m=mdl_block.get("m"))
     model = build_model(spec)
-    if seed is None:
-        seed = int(config.get("seed", 0))
     out = Path(out_dir or config.get("out_dir", "runs"))
     out.mkdir(parents=True, exist_ok=True)
     task = config["task"]
@@ -613,7 +610,7 @@ def _run(config_path: str, out_dir, seed) -> int:
         fh.write("\n")
 
     record = {"digest": digest, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-              "version": VERSION, "task": task, "passed": passed, "csv": csv_paths}
+              "version": __version__, "task": task, "passed": passed, "csv": csv_paths}
     with open(out / "registry.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Errors fall into two big families the CLI cares about: configuration
-problems (bad config file, invalid model parameters, exit code 2) and
-numerical guards tripping at run time (exit code 3).
+The CLI maps ConfigurationError (bad config file, invalid model
+parameters) to exit code 2 and every other NonharmonicError, a numerical
+guard tripping at run time, to exit code 3.
 """
 
 
@@ -53,17 +53,3 @@ class BranchCutError(NonharmonicError):
 class PicardDivergenceError(NonharmonicError):
     """Fixed-point iteration residuals grew too many times in a row."""
 
-
-#: Guard errors that map to CLI exit code 3 (numerical error).
-GUARD_ERRORS = (
-    ShapeError,
-    TagError,
-    NumericalConsistencyError,
-    WZViolationError,
-    AdmissibilityError,
-    WindowExhaustedError,
-    EllipticityError,
-    SpectrumProximityError,
-    BranchCutError,
-    PicardDivergenceError,
-)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import garding_estimate
+from .analysis import ellipticity_floor, garding_estimate
 from .errors import ConfigurationError, EllipticityError, PicardDivergenceError
 from .model import ModelProblem
 from .quantize import check_solvable, galerkin_matrix
@@ -55,10 +55,8 @@ class EvolutionProblem:
             return
         sign = -1.0 if self.ellipticity_gate == "dissipative" else +1.0
         for t in (0.0, self.T / 2.0, self.T):
-            sym = self.symbol_factory(t)
-            tab = sign * sym.table(model, 0).real
-            br = model.bracket_val(model.indices)
-            if np.min(tab / (br**self.order_m)[:, None]) <= 0:
+            K = self.symbol_factory(t).table(model, 0)
+            if ellipticity_floor(model, sign * K.real, self.order_m) <= 0:
                 raise EllipticityError(
                     f"generator fails the {self.ellipticity_gate} ellipticity gate at t={t:g}")
 

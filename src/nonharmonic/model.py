@@ -83,7 +83,6 @@ class ModelProblem:
 
     spec: ModelSpec
     indices: np.ndarray        # (2N+1,) ints, ascending
-    eigenvalues: np.ndarray    # (2N+1,) complex
     u: np.ndarray              # (2N+1, Q) eigenfunction samples
     v: np.ndarray              # (2N+1, Q) biorthogonal family samples
     x: np.ndarray              # (Q,) grid points in [0, 1)
@@ -101,6 +100,11 @@ class ModelProblem:
     @property
     def order(self) -> float:
         return self.spec.order
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """(2N+1,) complex lambda_xi over the window."""
+        return self.lam(self.indices)
 
     # -- closed-form evaluators on arbitrary integer indices ---------------
 
@@ -237,20 +241,12 @@ def build_model(spec: ModelSpec, check: bool = True) -> ModelProblem:
     indices = np.arange(-spec.N, spec.N + 1)
 
     phases = np.exp(2j * np.pi * np.outer(indices, x))
-    if spec.kind == "torus_derivative":
-        lam = 2.0 * np.pi * indices + 0.0j
-        u = phases
-        v = phases.copy()
-    elif spec.kind == "h_derivative":
-        lam = 2.0 * np.pi * indices - 1.0j * math.log(spec.h)
+    if spec.kind == "h_derivative":
         u = spec.h**x * phases
         v = spec.h ** (-x) * phases
-    else:  # torus_laplacian
-        lam = 4.0 * np.pi**2 * indices.astype(float) ** 2 + 0.0j
-        u = phases
-        v = phases.copy()
-
-    return ModelProblem(spec=spec, indices=indices, eigenvalues=lam, u=u, v=v, x=x, w=w)
+    else:
+        u, v = phases, phases.copy()
+    return ModelProblem(spec=spec, indices=indices, u=u, v=v, x=x, w=w)
 
 
 def biorthogonality_row_deviations(model: ModelProblem) -> np.ndarray:

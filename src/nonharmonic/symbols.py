@@ -234,8 +234,7 @@ def _spectral_x_derivative(model: ModelProblem, rows: np.ndarray, order: int) ->
 
 
 def apply_D(model: ModelProblem, sym: Symbol, beta: int,
-            family: AdmissibleFamily = DEFAULT_FAMILY,
-            margin: Optional[int] = None) -> Symbol:
+            family: AdmissibleFamily = DEFAULT_FAMILY) -> Symbol:
     """Derived derivative D^(beta) of a symbol, sampled on an extended window.
 
     Ordinary x-derivatives are taken spectrally and recombined through the
@@ -244,8 +243,7 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
     if beta == 0:
         return sym
     tr = d_operator_transform(family, beta)
-    if margin is None:
-        margin = sym.available_margin(model)
+    margin = sym.available_margin(model)
     tab = sym.table(model, margin)
     out = np.zeros_like(tab)
     for j in range(1, beta + 1):

@@ -147,3 +147,51 @@ def test_l2_norm_h_model_matches_qr_oracle(h):
 def test_l2_norm_requires_ascending_truncations(torus):
     with pytest.raises(ConfigurationError):
         l2_operator_norm(torus.spec, make_symbol("constant", value=1.0), [16, 8])
+
+
+@pytest.mark.parametrize("kind", ["torus_derivative", "h_derivative_2"])
+@pytest.mark.parametrize("symbol", [{"name": "bracket_power", "power": 2.0},
+                                    {"name": "x_modulated_bracket", "power": 2.0}])
+def test_garding_constants_are_their_closed_forms(models, kind, symbol):
+    params = dict(symbol)
+    rep = garding_estimate(models[kind], make_symbol(params.pop("name"), **params), 2.0,
+                           trials=40, seed=3)
+    assert rep.C1 == 1.0 / rep.C0
+    # the last point of the C1 sweep the estimator once ran
+    assert rep.C1 == np.linspace(1.0 / rep.C0 / 257, 1.0 / rep.C0, 257)[-1]
+    deficit = (rep.C1 * rep.sobolev_sq - rep.quad_forms) / rep.l2_sq
+    assert rep.C2 == max(0.0, float(np.max(deficit)))
+
+
+def _negated(sym):
+    from nonharmonic.symbols import Symbol
+
+    return Symbol(fn=lambda x, xi, lam, br: -sym.fn(x, xi, lam, br), order=sym.order,
+                  name=f"-{sym.name}")
+
+
+def test_gate_and_garding_reject_a_symbol_that_touches_zero(torus):
+    from nonharmonic.evolve import EvolutionProblem
+
+    # (1 + sin 2 pi x) bracket^2 vanishes at the grid point x = 3/4
+    sym = make_symbol("x_modulated_bracket", power=2.0, amplitude=1.0)
+    assert 0.75 in torus.x
+    with pytest.raises(EllipticityError):
+        garding_estimate(torus, sym, 2.0, trials=10, seed=0)
+    prob = EvolutionProblem(symbol_factory=lambda t: _negated(sym), u0=torus.u_row(1),
+                            T=0.1, steps=10, order_m=2.0)
+    with pytest.raises(EllipticityError):
+        prob.validate(torus)
+
+
+def test_gate_and_garding_accept_a_symbol_just_inside(torus):
+    from nonharmonic.analysis import ellipticity_floor
+    from nonharmonic.evolve import EvolutionProblem
+
+    sym = make_symbol("x_modulated_bracket", power=2.0, amplitude=0.99)
+    assert ellipticity_floor(torus, sym.table(torus, 0).real, 2.0) == pytest.approx(0.01)
+    rep = garding_estimate(torus, sym, 2.0, trials=10, seed=0)
+    assert rep.C0 == pytest.approx(100.0)
+    prob = EvolutionProblem(symbol_factory=lambda t: _negated(sym), u0=torus.u_row(1),
+                            T=0.1, steps=10, order_m=2.0)
+    prob.validate(torus)

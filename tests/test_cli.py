@@ -460,3 +460,77 @@ def test_config_validator_agrees_with_jsonschema():
     for value in (1, 2.0, 2.5, True, "x", [], {}):
         assert (cli.schema_violation(value, both, "v") is None) == \
             jsonschema.Draft202012Validator(both).is_valid(value), value
+
+
+#: every library error class but ConfigurationError: each leaves through exit 3
+_GUARD_CLASSES = ("NonharmonicError", "ShapeError", "TagError", "NumericalConsistencyError",
+                  "WZViolationError", "AdmissibilityError", "WindowExhaustedError",
+                  "EllipticityError", "SpectrumProximityError", "BranchCutError",
+                  "PicardDivergenceError")
+
+
+def _exit_of_raised(exc, tmp_path, capsys, monkeypatch):
+    def broken(model, params, seed):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "model-check", broken)
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check"})
+    code = run(cfg, out_dir=str(tmp_path / "out"))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", _GUARD_CLASSES)
+def test_library_errors_exit_3_with_one_line(tmp_path, capsys, monkeypatch, name):
+    from nonharmonic import errors
+
+    code, err = _exit_of_raised(getattr(errors, name)("guard\ntripped"), tmp_path, capsys,
+                                monkeypatch)
+    assert code == 3
+    assert err.startswith(f"error: numerical guard tripped: {name}: guard")
+    assert len(err.splitlines()) == 1
+
+
+def test_library_error_subclass_defined_elsewhere_exits_3(tmp_path, capsys, monkeypatch):
+    from nonharmonic.errors import EllipticityError, NonharmonicError
+
+    class LocalGuardError(NonharmonicError):
+        pass
+
+    class LocalEllipticityError(EllipticityError):
+        pass
+
+    for cls in (LocalGuardError, LocalEllipticityError):
+        code, err = _exit_of_raised(cls("local"), tmp_path, capsys, monkeypatch)
+        assert code == 3
+        assert err == f"error: numerical guard tripped: {cls.__name__}: local\n"
+
+
+@pytest.mark.parametrize("config", ["garding.json", "model_check.json"])
+def test_negative_seed_flag_exits_2_before_any_output(tmp_path, capsys, config):
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(root / "configs" / config), "--out", str(out),
+                     "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: --seed: -1 is less than the minimum of 0\n")
+    assert not out.exists()  # so no summary.json and no registry.jsonl either
+
+
+def test_negative_seed_in_config_exits_2_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check", "seed": -1})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config:")
+    assert "-1 is less than the minimum of 0" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_registry_version_is_the_package_version(tmp_path):
+    import nonharmonic
+
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check"})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 0
+    lines = (tmp_path / "out" / "registry.jsonl").read_text().splitlines()
+    assert [json.loads(line)["version"] for line in lines] == [nonharmonic.__version__]

@@ -136,3 +136,22 @@ def test_order_override_changes_bracket():
     m = build_model(ModelSpec(kind="torus_derivative", N=4, Q=64, m=2.0))
     assert m.order == 2.0
     assert m.bracket_val(1) == pytest.approx((1 + 4 * np.pi**2) ** 0.25, rel=1e-14)
+
+
+#: the closed forms lambda_j of each kind, written out over the window
+_EIGENVALUE_FORMS = {
+    "torus_derivative": lambda j, h: 2.0 * np.pi * j + 0.0j,
+    "h_derivative": lambda j, h: 2.0 * np.pi * j - 1.0j * math.log(h),
+    "torus_laplacian": lambda j, h: 4.0 * np.pi**2 * j.astype(float) ** 2 + 0.0j,
+}
+
+
+@pytest.mark.parametrize("N", [0, 16, 32])
+@pytest.mark.parametrize("kind,h", [("torus_derivative", None), ("h_derivative", 2.0),
+                                    ("h_derivative", 0.5), ("torus_laplacian", None)])
+def test_eigenvalues_equal_the_closed_forms(kind, h, N):
+    m = build_model(ModelSpec(kind=kind, N=N, Q=4 * (2 * N + 1), h=h))
+    expected = _EIGENVALUE_FORMS[kind](np.arange(-N, N + 1), h)
+    assert m.eigenvalues.dtype == np.complex128
+    assert np.array_equal(m.eigenvalues, expected)
+    assert m.eigenvalues is m.eigenvalues
