@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import EllipticityError, ConfigurationError
 from .model import ModelProblem, ModelSpec, build_model
-from .quantize import galerkin_matrix, kernel, op_apply_coeff
+from .quantize import galerkin_matrix, kernel
 from .symbols import Symbol
-from .transform import CoeffVector, coefficient_gram, inverse
+from .transform import coefficient_gram
 
 
 @dataclass
@@ -50,10 +50,14 @@ def garding_estimate(model: ModelProblem, a: Symbol, m: float, trials: int = 200
                      seed: int = 0) -> GardingReport:
     """Estimate Garding constants for the real-part symbol of a.
 
-    Raises EllipticityError when A = Re a fails the positivity precheck
-    |<xi>^m A^-1| <= C0 on the sampled window.
+    Raises ConfigurationError for trials < 1, and EllipticityError when
+    A = Re a fails the positivity precheck |<xi>^m A^-1| <= C0 on the
+    sampled window.
     """
-    floor = ellipticity_floor(model, a.table(model, 0).real, m)
+    if trials < 1:
+        raise ConfigurationError(f"Garding estimate needs trials >= 1, got {trials}")
+    tab = a.table(model, 0)
+    floor = ellipticity_floor(model, tab.real, m)
     if floor <= 0:
         raise EllipticityError("real-part symbol is not positive elliptic on the window")
     C0 = 1.0 / floor
@@ -64,16 +68,18 @@ def garding_estimate(model: ModelProblem, a: Symbol, m: float, trials: int = 200
     sob_sq = np.empty(trials)
     l2_sq = np.empty(trials)
     sob_weights = model.bracket_val(model.indices) ** m
+    # trial-invariant rows: a(., xi) u_xi, which c contracts into Au as the
+    # einsum of `op_apply_coeff` does, and conj(u_xi) w of the starred pairing
+    tab_u = tab * model.u
+    star = model.u.conj() * model.w
     for t in range(trials):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c /= np.linalg.norm(c)
-        cv = CoeffVector(c, tag="L")
-        u = inverse(model, cv)
-        Au = op_apply_coeff(model, a, cv)
+        u = c @ model.u
+        Au = c @ tab_u
         quad_forms[t] = float(np.real(model.quad(Au * np.conj(u))))
         # grid-quadrature Sobolev/L2 norms through the starred pairing
-        fstar = (model.u.conj() * model.w) @ u
-        sob_sq[t] = float(np.real(np.sum(sob_weights * c * np.conj(fstar))))
+        sob_sq[t] = float(np.real(np.sum(sob_weights * c * np.conj(star @ u))))
         l2_sq[t] = float(np.real(model.quad(np.abs(u) ** 2)))
 
     # 1/C0, not the floor itself: 1/(1/floor) need not equal floor

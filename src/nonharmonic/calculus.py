@@ -188,21 +188,19 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
     if not np.isfinite(ell_sup):
         raise EllipticityError("ellipticity sup is not finite")
 
-    # B_k tables at margin (margin - k); deltas of a cached per order
+    # B_k tables at margin (margin - k); each Delta^g a is cached on a
     b_tables = [inv_tab]
-    delta_a = {0: a}
     for N in range(1, n_terms + 1):
         tgt_margin = margin - N
         acc = np.zeros((2 * (model.N + tgt_margin) + 1, model.Q), dtype=complex)
         for k in range(N):
             g = N - k
-            if g not in delta_a:
-                delta_a[g] = apply_Delta(model, a, g, family)
             Bk = Symbol.from_table(model, b_tables[k], margin - k,
                                    order=-m - (rho - delta) * k, rho=rho, delta=delta,
                                    name=f"B_{k}")
             DBk = apply_D(model, Bk, g, family)
-            term = delta_a[g].table(model, tgt_margin) * DBk.table(model, tgt_margin)
+            term = (apply_Delta(model, a, g, family).table(model, tgt_margin)
+                    * DBk.table(model, tgt_margin))
             acc += term / math.factorial(g)
         inv_here = trim_window(inv_tab, margin, tgt_margin)
         b_tables.append(-inv_here * acc)

@@ -160,9 +160,11 @@ def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int,
     family = family_tilde.conjugate()  # direct family, for the D transform
     margin, out_margin = a.margin_after(model, terms - 1, f"adjoint with terms={terms}")
 
-    conj_a = Symbol.from_table(model, np.conj(a.table(model, margin)), margin,
-                               order=a.order, rho=a.rho, delta=a.delta,
-                               name=f"conj[{a.name}]")
+    # conj(a), cached on a, keeps its own D^(alpha) and Delta~^alpha from one call to the next
+    key = ("conj", margin, model.token)
+    conj_a = a._cache.get(key) or a.keep(key, Symbol.from_table(
+        model, np.conj(a.table(model, margin)), margin, order=a.order, rho=a.rho,
+        delta=a.delta, name=f"conj[{a.name}]"))
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     for alpha in range(terms):
         work = apply_D(model, conj_a, alpha, family)

@@ -32,26 +32,35 @@ DEFAULT_MARGIN = 4
 # admissible family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmissibleFamily:
     """A single difference-generating function q(x, y) and its y-derivatives
-    on the diagonal (as Taylor coefficients of s -> q(x, x+s) at s = 0)."""
+    on the diagonal (as Taylor coefficients of s -> q(x, x+s) at s = 0).
+
+    A family compares and hashes by identity: the differences a symbol
+    caches are keyed by the family object that produced them."""
 
     q: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diag_taylor: np.ndarray  # coefficients c_k of q(x, x+s) = sum c_k s^k, c_0 = 0
     name: str = "q"
+    _conjugate: Optional["AdmissibleFamily"] = field(default=None, init=False, repr=False)
 
     def power_xy(self, x: np.ndarray, y: np.ndarray, alpha: int) -> np.ndarray:
         """q^alpha on the grid x[:, None] x y[None, :]."""
         return self.q(x[:, None], y[None, :]) ** alpha
 
     def conjugate(self) -> "AdmissibleFamily":
-        """Adjoint family q~(x, y) = conj(q(x, y))."""
-        return AdmissibleFamily(
-            q=lambda x, y: np.conj(self.q(x, y)),
-            diag_taylor=np.conj(self.diag_taylor),
-            name=self.name + "~",
-        )
+        """Adjoint family q~(x, y) = conj(q(x, y)), built once per family;
+        the conjugate of q~ is this family itself."""
+        if self._conjugate is None:
+            tilde = AdmissibleFamily(
+                q=lambda x, y: np.conj(self.q(x, y)),
+                diag_taylor=np.conj(self.diag_taylor),
+                name=self.name + "~",
+            )
+            object.__setattr__(self, "_conjugate", tilde)
+            object.__setattr__(tilde, "_conjugate", self)
+        return self._conjugate
 
 
 def default_family(max_order: int = 8) -> AdmissibleFamily:
@@ -128,8 +137,10 @@ class Symbol:
     (margin None: the calculus then reads DEFAULT_MARGIN past +-N unless told
     otherwise); table-backed symbols carry samples over the window
     {-N-margin, ..., N+margin} of the model they were built from.
-    A symbol must not be mutated once evaluated: its tables and Galerkin
-    matrices are cached per model, and a cached value would go stale.
+    A symbol must not be mutated once evaluated: its tables, Galerkin
+    matrices and derived symbols (D^(beta), Delta^alpha, Delta~^alpha and
+    conj, see `keep`) are cached per model, and a cached value would go
+    stale.  They live as long as the symbol does.
     """
 
     fn: Optional[Callable] = None
@@ -209,6 +220,14 @@ class Symbol:
         self._cache[key] = tab
         return tab
 
+    def keep(self, key: tuple, derived: "Symbol") -> "Symbol":
+        """Cache `derived`, a table-backed symbol computed from this one,
+        under `key` = (operation, order or margin, model token[, family]).
+        Its table is made read-only, so no caller can corrupt a later hit."""
+        derived._table.flags.writeable = False
+        self._cache[key] = derived
+        return derived
+
 
 def trim_window(tab: np.ndarray, from_margin: int, to_margin: int) -> np.ndarray:
     """Rows of a table over {-N-from_margin, ..., N+from_margin} restricted
@@ -238,10 +257,13 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
     """Derived derivative D^(beta) of a symbol, sampled on an extended window.
 
     Ordinary x-derivatives are taken spectrally and recombined through the
-    triangular transform of the family.
+    triangular transform of the family.  The result is cached on `sym`.
     """
     if beta == 0:
         return sym
+    key = ("D", beta, model.token, family)
+    if key in sym._cache:
+        return sym._cache[key]
     tr = d_operator_transform(family, beta)
     margin = sym.available_margin(model)
     tab = sym.table(model, margin)
@@ -250,8 +272,9 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
         coef = tr.Tinv[beta, j]
         if coef != 0:
             out += coef * _spectral_x_derivative(model, tab, j)
-    return Symbol.from_table(model, out, margin, order=sym.order + sym.delta * beta,
-                             rho=sym.rho, delta=sym.delta, name=f"D^{beta}[{sym.name}]")
+    return sym.keep(key, Symbol.from_table(model, out, margin, order=sym.order + sym.delta * beta,
+                                           rho=sym.rho, delta=sym.delta,
+                                           name=f"D^{beta}[{sym.name}]"))
 
 
 def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
@@ -272,17 +295,21 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     b and d as block builders (lo, hi) -> rows:
     b_xi(x)^-1 sum_eta b_eta(x) a(x, eta) quad_y(q^alpha(x, y) conj(d_eta(y)) b_xi(y)).
 
-    The coupling tensor depends on the window but not on the symbol, so it
-    is built once per distinct input margin among `syms` and dropped before
-    the next one is built."""
+    Each result is cached on its input symbol under (label, alpha, model
+    token, family).  The coupling tensor depends on the window but not on
+    the symbol, so it is built once per distinct input margin among the
+    symbols that miss the cache and dropped before the next one is built."""
     if alpha == 0:
         return list(syms)
-    windows = {}  # input margin -> positions in syms
-    for i, sym in enumerate(syms):
-        in_margin, _ = sym.margin_after(model, alpha, f"{label}^{alpha}")
-        windows.setdefault(in_margin, []).append(i)
+    # every window is checked before any cache hit is taken
+    margins = [sym.margin_after(model, alpha, f"{label}^{alpha}")[0] for sym in syms]
+    key = (label, alpha, model.token, family)
+    out = [sym._cache.get(key) for sym in syms]
+    windows = {}  # input margin -> positions in syms that miss the cache
+    for i, in_margin in enumerate(margins):
+        if out[i] is None:
+            windows.setdefault(in_margin, []).append(i)
 
-    out = [None] * len(syms)
     for in_margin, members in windows.items():
         out_margin = in_margin - alpha
         in_off = model.N + in_margin
@@ -294,9 +321,9 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
         for i in members:
             sym = syms[i]
             summed = np.einsum("gex,ex->gx", C, B_in * sym.table(model, in_margin))
-            out[i] = Symbol.from_table(model, summed / B_out, out_margin,
-                                       order=sym.order - sym.rho * alpha, rho=sym.rho,
-                                       delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]")
+            out[i] = sym.keep(key, Symbol.from_table(
+                model, summed / B_out, out_margin, order=sym.order - sym.rho * alpha,
+                rho=sym.rho, delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]"))
         del C
     return out
 
@@ -305,8 +332,10 @@ def apply_Delta_many(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
                      family: AdmissibleFamily = DEFAULT_FAMILY) -> list[Symbol]:
     """`apply_Delta` of each symbol in `syms`.
 
-    One coupling tensor serves every symbol read over the same window, so
-    each result is bitwise the one a call of its own gives.
+    One coupling tensor serves every symbol read over the same window that
+    has no cached Delta^alpha for this model and family, so each result is
+    bitwise the one a call of its own gives.  A call in which every symbol
+    hits its cache builds no tensor.
     """
     return _delta(model, syms, alpha, family, model.u_block, model.v_block, "Delta")
 

@@ -51,6 +51,47 @@ def test_garding_seed_reproducible(torus):
     assert r1.C1 == r2.C1 and r1.C2 == r2.C2
 
 
+def garding_reference(model, a, m, trials, seed):
+    """Garding's trial loop with the quantization sum and the starred rows
+    built on every trial."""
+    from nonharmonic.quantize import op_apply_coeff
+    from nonharmonic.transform import CoeffVector, inverse
+
+    rng = np.random.default_rng(seed)
+    n = len(model.indices)
+    quad, sob, l2 = np.empty(trials), np.empty(trials), np.empty(trials)
+    sob_weights = model.bracket_val(model.indices) ** m
+    for t in range(trials):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c /= np.linalg.norm(c)
+        cv = CoeffVector(c, tag="L")
+        u = inverse(model, cv)
+        Au = op_apply_coeff(model, a, cv)
+        quad[t] = float(np.real(model.quad(Au * np.conj(u))))
+        fstar = (model.u.conj() * model.w) @ u
+        sob[t] = float(np.real(np.sum(sob_weights * c * np.conj(fstar))))
+        l2[t] = float(np.real(model.quad(np.abs(u) ** 2)))
+    return quad, sob, l2
+
+
+@pytest.mark.parametrize("kind", ["torus_derivative", "h_derivative_2"])
+def test_garding_trials_equal_the_per_trial_loop(models, kind):
+    sym = make_symbol("x_modulated_bracket", power=2.0)
+    rep = garding_estimate(models[kind], sym, 2.0, trials=60, seed=11)
+    quad, sob, l2 = garding_reference(models[kind], sym, 2.0, 60, 11)
+    assert np.array_equal(rep.quad_forms, quad)
+    assert np.array_equal(rep.sobolev_sq, sob)
+    assert np.array_equal(rep.l2_sq, l2)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_garding_rejects_fewer_than_one_trial(torus, trials):
+    sym = make_symbol("bracket_power", power=2.0)
+    with pytest.raises(ConfigurationError, match="trials >= 1"):
+        garding_estimate(torus, sym, 2.0, trials=trials)
+    assert sym._cache == {}  # raised before any table was sampled
+
+
 def test_interpolation_continuum_bounds(torus):
     C = interpolation_constant(torus, 2.0, 1.0, 0.1)
     assert C <= 1.0 / (4 * 0.1) + 1e-12

@@ -396,3 +396,94 @@ def test_estimate_order_builds_one_tensor_per_alpha(tensor_builds):
     estimate_order(m, make_symbol("x_modulated_bracket", power=1.0), 1.0, 0.0, max_alpha=2)
     assert len(tensor_builds) == 2
     assert all(ref() is None for ref in tensor_builds)
+
+
+def test_families_hash_by_identity_and_conjugate_back():
+    fam = default_family()
+    assert {DEFAULT_FAMILY: 1, fam: 2}[fam] == 2 and fam != default_family()
+    assert DEFAULT_FAMILY.conjugate() is DEFAULT_FAMILY_TILDE
+    assert DEFAULT_FAMILY_TILDE.conjugate() is DEFAULT_FAMILY
+    assert fam.conjugate() is fam.conjugate() and fam.conjugate().conjugate() is fam
+
+
+def truncated_expansions():
+    from nonharmonic.calculus import parametrix
+    from nonharmonic.quantize import adjoint_symbol, compose_symbols
+
+    return {  # name -> (expansion of a at order k, a lower and the next order)
+        "compose": (lambda m, a, k: compose_symbols(m, a, make_symbol("exp_mode", mode=1), k),
+                    2, 3),
+        "parametrix": (lambda m, a, k: parametrix(m, a, 2.0, 1.0, 0.0, k).symbol, 1, 2),
+        "adjoint": (lambda m, a, k: adjoint_symbol(m, a, k), 2, 3),
+    }
+
+
+@pytest.mark.parametrize("name", ["compose", "parametrix", "adjoint"])
+def test_next_truncation_order_builds_one_tensor(hmodel, tensor_builds, name):
+    expand, lower, higher = truncated_expansions()[name]
+    a = make_symbol("x_modulated_bracket", power=2.0)
+    expand(hmodel, a, lower)
+    built = len(tensor_builds)
+    got = expand(hmodel, a, higher)
+    assert len(tensor_builds) == built + 1
+    assert all(ref() is None for ref in tensor_builds)
+    fresh = expand(hmodel, make_symbol("x_modulated_bracket", power=2.0), higher)
+    assert np.array_equal(got.table(hmodel, got.margin), fresh.table(hmodel, fresh.margin))
+
+
+def test_second_estimate_order_builds_no_tensor(tensor_builds):
+    m = build_model(ModelSpec(kind="torus_derivative", N=8, Q=64))
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    first = estimate_order(m, sym, 1.0, 0.0)
+    built = len(tensor_builds)
+    again = estimate_order(m, sym, 1.0, 0.0)
+    assert len(tensor_builds) == built
+    assert again.values == first.values and again.fitted_order == first.fitted_order
+
+
+DERIVED = {
+    "D": lambda m, s: apply_D(m, s, 2),
+    "Delta": lambda m, s: apply_Delta(m, s, 2),
+    "Delta_many": lambda m, s: apply_Delta_many(m, [s], 2)[0],
+    "Delta_star": lambda m, s: apply_Delta_star(m, s, 2),
+    "Delta_of_D": lambda m, s: apply_Delta(m, apply_D(m, s, 1), 1),
+}
+
+
+@pytest.mark.parametrize("derive", DERIVED.values(), ids=list(DERIVED))
+def test_cached_difference_equals_a_fresh_symbols(hmodel, derive):
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    first = derive(hmodel, sym)
+    again = derive(hmodel, sym)
+    fresh = derive(hmodel, make_symbol("x_modulated_bracket", power=1.0))
+    assert again is first
+    assert np.array_equal(again.table(hmodel, again.margin), fresh.table(hmodel, fresh.margin))
+
+
+def test_another_family_or_model_misses_the_cache(tensor_builds):
+    spec = ModelSpec(kind="torus_derivative", N=8, Q=64)
+    m, twin = build_model(spec), build_model(spec)
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    cached = apply_Delta(m, sym, 1)
+    other_family = apply_Delta(m, sym, 1, default_family())
+    other_model = apply_Delta(twin, sym, 1)
+    assert len(tensor_builds) == 3
+    assert apply_D(m, sym, 1, default_family()) is not apply_D(m, sym, 1)
+    for miss, model in ((other_family, m), (other_model, twin)):
+        assert miss is not cached
+        assert np.array_equal(miss.table(model, 0), cached.table(m, 0))
+
+
+def test_cached_tables_are_read_only(hmodel):
+    from nonharmonic.quantize import adjoint_symbol
+
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    adjoint_symbol(hmodel, sym, 2)
+    derived = [v for v in sym._cache.values() if isinstance(v, Symbol)]  # conj(sym)
+    derived += [apply_D(hmodel, sym, 1), apply_Delta(hmodel, apply_D(hmodel, sym, 1), 1),
+                apply_Delta_star(hmodel, sym, 1)]
+    assert len(derived) == 4
+    for d in derived:
+        tab = d.table(hmodel, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            tab[0, 0] = 0.0

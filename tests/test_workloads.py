@@ -33,3 +33,17 @@ def test_benchmark_library_tasks_pass(workloads, workload):
     tasks = workloads.library_tasks(workload, model, workloads.task_seed(5))
     results = [workloads.run_task(task) for task in tasks]
     assert [(r.name, r.ok, r.error) for r in results] == [(t.name, True, "") for t in tasks]
+
+
+def test_difference_calculus_pass_builds_six_coupling_tensors(workloads, monkeypatch):
+    import nonharmonic.symbols as symbols
+
+    build, alphas = symbols.coupling_tensor, []
+    monkeypatch.setattr(symbols, "coupling_tensor",
+                        lambda *args, **kw: alphas.append(args[2]) or build(*args, **kw))
+    model = workloads.library_model("difference_calculus", 16)
+    for task in workloads.library_tasks("difference_calculus", model, workloads.task_seed(5)):
+        assert workloads.run_task(task).ok, task.name
+    # symbol_order, compose and parametrix each build Delta^1 and Delta^2 once: a
+    # higher truncation order reuses the differences its symbol cached at the lower one
+    assert sorted(alphas) == [1, 1, 1, 2, 2, 2]
