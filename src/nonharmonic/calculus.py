@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,16 @@ from .symbols import DEFAULT_FAMILY, AdmissibleFamily, Symbol, apply_D, apply_De
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
+def _gauss_legendre(size: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size;
+    read-only, since every caller shares them."""
+    t, w = np.polynomial.legendre.leggauss(size)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _gauss_segment(f_z: Callable[[np.ndarray], np.ndarray],
                    f_dz: Callable[[np.ndarray], np.ndarray],
                    t0: float, t1: float, n: int, panels: int):
@@ -44,7 +54,7 @@ def _gauss_segment(f_z: Callable[[np.ndarray], np.ndarray],
     ts, ws = [], []
     edges = np.linspace(t0, t1, panels + 1)
     for size, (a, b) in zip(sizes, zip(edges[:-1], edges[1:])):
-        base_t, base_w = np.polynomial.legendre.leggauss(size)
+        base_t, base_w = _gauss_legendre(size)
         ts.append(0.5 * (b - a) * base_t + 0.5 * (a + b))
         ws.append(0.5 * (b - a) * base_w)
     t = np.concatenate(ts)

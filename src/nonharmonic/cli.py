@@ -12,8 +12,12 @@ exception).
 
 Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
-byte-identical CSV files.  The env var NONHARMONIC_THREADS caps internal
-(BLAS) parallelism; 0 or unset means automatic.
+byte-identical CSV files.  The env var NONHARMONIC_THREADS caps both the
+BLAS threads and the lanes that compute the row blocks of Delta^alpha side
+by side; 0 or unset means automatic (BLAS picks, one lane per usable core),
+and a value that is not a non-negative integer exits 2.  The lanes and the
+thread variables go to the `threads` block of summary.json and of the
+registry record, never to a CSV.
 
 A config is checked against CONFIG_SCHEMA and the params schema of its
 task by `schema_violation`, a validator in this module, not a library: it
@@ -28,12 +32,11 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, threads
 from .errors import ConfigurationError, NonharmonicError
 
 TASKS = ("model-check", "transform-check", "symbol-order", "compose", "parametrix",
@@ -133,16 +136,8 @@ CONFIG_SCHEMA = {
 
 
 def _setup_threads():
-    """Apply NONHARMONIC_THREADS before numpy is imported anywhere."""
-    raw = os.environ.get("NONHARMONIC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+    """Apply NONHARMONIC_THREADS to the BLAS before numpy is imported anywhere."""
+    threads.cap_blas()
 
 
 def fmt(x) -> str:
@@ -351,7 +346,7 @@ def _task_symbol_order(model, params, seed):
 def _task_compose(model, params, seed):
     import numpy as np
 
-    from .quantize import compose_symbols, composition_oracle, inner_window
+    from .quantize import compose_symbols, composition_floor, composition_oracle, inner_window
 
     a = _build_symbol(params["a"], model)
     b = _build_symbol(params["b"], model)
@@ -359,18 +354,19 @@ def _task_compose(model, params, seed):
     oracle = composition_oracle(model, a, b).table(model, 0)
     mask = inner_window(model, 0.5)
     br = model.bracket_val(model.indices)
-    rows, sups = [], []
+    rows, sups, floors = [], [], []
     for terms in terms_list:
         approx = compose_symbols(model, a, b, terms).table(model, 0)
         rem = np.max(np.abs(oracle - approx), axis=1)
         weight = br ** (-(a.order + b.order) + terms)
         wsup = float(np.max((rem * weight)[mask]))
         sups.append(wsup)
+        floors.append(composition_floor(model, oracle, a.order + b.order, terms))
         rows += _index_rows(model, (terms,), rem, rem * weight)
-    floor = 1e-8
-    monotone = all(s1 <= s0 or s1 <= floor for s0, s1 in zip(sups, sups[1:]))
+    # no increase from one entry to the next, unless the later one is roundoff
+    monotone = all(s1 <= s0 or s1 <= f1 for s0, s1, f1 in zip(sups, sups[1:], floors[1:]))
     return bool(monotone), {"weighted_sups": dict(zip(map(str, terms_list), sups)),
-                            "floor": floor}, [
+                            "floors": dict(zip(map(str, terms_list), floors))}, [
         ("compose.csv", ["terms", "xi", "remainder", "weighted_remainder"], rows)]
 
 
@@ -569,14 +565,19 @@ def run(config_path: str, out_dir: str = None, seed: int = None) -> int:
     try:
         return _run(config_path, out_dir, seed)
     except Exception as exc:
-        if isinstance(exc, ConfigurationError):
-            code, what = 2, "invalid config"
-        elif isinstance(exc, (NonharmonicError, OverflowError, FloatingPointError)):
-            code, what = 3, f"numerical guard tripped: {type(exc).__name__}"
-        else:  # a defect of the program, not of the config: keep it apart from 1
-            code, what = 4, f"internal: {type(exc).__name__}"
-        print(f"error: {what}: {' '.join(str(exc).split())}", file=sys.stderr)
-        return code
+        return _failure(exc)
+
+
+def _failure(exc: Exception) -> int:
+    """Print the one stderr line of a failed run; returns its exit code."""
+    if isinstance(exc, ConfigurationError):
+        code, what = 2, "invalid config"
+    elif isinstance(exc, (NonharmonicError, OverflowError, FloatingPointError)):
+        code, what = 3, f"numerical guard tripped: {type(exc).__name__}"
+    else:  # a defect of the program, not of the config: keep it apart from 1
+        code, what = 4, f"internal: {type(exc).__name__}"
+    print(f"error: {what}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return code
 
 
 def _run(config_path: str, out_dir, seed) -> int:
@@ -603,14 +604,16 @@ def _run(config_path: str, out_dir, seed) -> int:
         path = out / name
         write_csv(path, header, rows)
         csv_paths.append(str(path))
+    thread_record = threads.record()
     summary_doc = {"task": task, "digest": digest, "seed": seed, "passed": passed,
-                   "summary": summary, "csv": csv_paths}
+                   "summary": summary, "csv": csv_paths, "threads": thread_record}
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary_doc, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
     record = {"digest": digest, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-              "version": __version__, "task": task, "passed": passed, "csv": csv_paths}
+              "version": __version__, "task": task, "passed": passed, "csv": csv_paths,
+              "threads": thread_record}
     with open(out / "registry.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -655,7 +658,10 @@ def report(registry_path: str, out_path: str = None) -> int:
 
 
 def main(argv=None) -> int:
-    _setup_threads()
+    try:
+        _setup_threads()
+    except ConfigurationError as exc:
+        return _failure(exc)
     parser = argparse.ArgumentParser(prog="nonharmonic",
                                      description="Run operator-calculus experiments")
     sub = parser.add_subparsers(dest="command", required=True)

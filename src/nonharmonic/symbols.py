@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
 from .model import ModelProblem
+from .threads import lanes, ordered_map
 
 #: default extension margin: how far past +-N evaluator symbols are sampled
 DEFAULT_MARGIN = 4
@@ -277,16 +278,33 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
                                            name=f"D^{beta}[{sym.name}]"))
 
 
+#: the coupling tensor as an einsum over (q^alpha, conj(dual_in), basis_out, w)
+_COUPLING = "xy,ey,gy,y->xge"
+
+#: bytes of one block of the coupling tensor: every window at N <= 16 (Q = 8N)
+#: is one block, a window at N = 32 is five or six, and memory stays bounded as N grows
+BLOCK_BYTES = 4 << 20
+
+
 def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
-                    basis_out: np.ndarray, dual_in: np.ndarray) -> np.ndarray:
+                    basis_out: np.ndarray, dual_in: np.ndarray,
+                    q_pow: Optional[np.ndarray] = None, optimize=True) -> np.ndarray:
     """C[x, xi, eta] = quad_y(q^alpha(x, y) conj(dual_eta(y)) basis_xi(y)) for
-    the rows xi of basis_out and eta of dual_in.
+    the rows xi of basis_out and eta of dual_in.  `q_pow` is q^alpha on the
+    grid, computed here if not given; `optimize` is einsum's.
 
     The array is indexed (x, xi, eta) but laid out with x as the fastest
     axis; `_delta` contracts its (xi, eta, x) view, which is contiguous."""
-    q_pow = family.power_xy(model.x, model.x, alpha)  # (Q, Q)
-    return np.einsum("xy,ey,gy,y->xge", q_pow, dual_in.conj(), basis_out, model.w,
-                     optimize=True)
+    if q_pow is None:
+        q_pow = family.power_xy(model.x, model.x, alpha)  # (Q, Q)
+    return np.einsum(_COUPLING, q_pow, dual_in.conj(), basis_out, model.w, optimize=optimize)
+
+
+def _row_blocks(n_rows: int, row_bytes: int) -> list:
+    """Consecutive slices of range(n_rows), each at most BLOCK_BYTES (and at
+    least one row) long."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: AdmissibleFamily,
@@ -297,8 +315,14 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
 
     Each result is cached on its input symbol under (label, alpha, model
     token, family).  The coupling tensor depends on the window but not on
-    the symbol, so it is built once per distinct input margin among the
-    symbols that miss the cache and dropped before the next one is built."""
+    the symbol, so it serves every symbol that misses the cache over the
+    same input margin.  It is built and contracted in blocks of output rows
+    xi of at most BLOCK_BYTES, which `threads.lanes()` lanes work through
+    side by side; each block is dropped once contracted, and none is kept.
+    Every block takes the whole window's q^alpha and contraction path, so
+    it is built by the same operations, in the same order, as those rows
+    of the whole tensor; the rows are put back in order.  That the BLAS
+    product then gives each row the same bits is pinned by the tests."""
     if alpha == 0:
         return list(syms)
     # every window is checked before any cache hit is taken
@@ -314,17 +338,29 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
         out_margin = in_margin - alpha
         in_off = model.N + in_margin
         out_off = model.N + out_margin
-        B_in = basis(-in_off, in_off)                # (2*in_off+1, Q)
-        B_out = basis(-out_off, out_off)
-        # (2*out_off+1, 2*in_off+1, Q) view of the (Q, xi, eta) tensor
-        C = coupling_tensor(model, family, alpha, B_out, dual(-in_off, in_off)).transpose(1, 2, 0)
-        for i in members:
+        B_out = basis(-out_off, out_off)                # (2*out_off+1, Q)
+        D_in = dual(-in_off, in_off)                    # (2*in_off+1, Q)
+        q_pow = family.power_xy(model.x, model.x, alpha)
+        # the path einsum picks for the whole window, kept for each of its
+        # blocks: the optimizer may pick another one for fewer rows
+        path = np.einsum_path(_COUPLING, q_pow, D_in, B_out, model.w, optimize=True)[0]
+        B_in = basis(-in_off, in_off)
+        weighted = [B_in * syms[i].table(model, in_margin) for i in members]
+
+        def contract(rows):
+            # (rows, 2*in_off+1, Q) view of the (Q, xi, eta) block
+            C = coupling_tensor(model, family, alpha, B_out[rows], D_in, q_pow=q_pow,
+                                optimize=path).transpose(1, 2, 0)
+            return [np.einsum("gex,ex->gx", C, w) for w in weighted]
+
+        blocks = _row_blocks(len(B_out), model.Q * len(D_in) * 16)
+        parts = ordered_map(contract, blocks, lanes())
+        for j, i in enumerate(members):
             sym = syms[i]
-            summed = np.einsum("gex,ex->gx", C, B_in * sym.table(model, in_margin))
+            summed = np.concatenate([part[j] for part in parts])
             out[i] = sym.keep(key, Symbol.from_table(
                 model, summed / B_out, out_margin, order=sym.order - sym.rho * alpha,
                 rho=sym.rho, delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]"))
-        del C
     return out
 
 

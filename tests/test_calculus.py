@@ -33,6 +33,25 @@ def test_circle_and_polyline_cauchy_integral():
         assert abs(val - 1.0) <= 1e-8
 
 
+def test_gauss_rules_are_computed_once_per_size_and_read_only(monkeypatch):
+    from nonharmonic import calculus
+
+    calculus._gauss_legendre.cache_clear()
+    leggauss, sizes = np.polynomial.legendre.leggauss, []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: sizes.append(n) or leggauss(n))
+    first = Contour.keyhole_negative_axis(R=50.0, nodes_per_segment=100)
+    again = Contour.keyhole_negative_axis(R=50.0, nodes_per_segment=100)
+    assert sizes == [13, 12]  # 100 nodes on 8 panels: sizes 13 and 12, each computed once
+    assert np.array_equal(first.nodes, again.nodes) and np.array_equal(first.weights, again.weights)
+    for size in (12, 13):
+        t, w = calculus._gauss_legendre(size)
+        ref_t, ref_w = leggauss(size)
+        assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 0.0
+
+
 def test_contour_spectrum_collision_guard():
     c = Contour.circle(center=0.0, radius=1.0, n=32)
     with pytest.raises(SpectrumProximityError):

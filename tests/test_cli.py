@@ -534,3 +534,118 @@ def test_registry_version_is_the_package_version(tmp_path):
     assert run(cfg, out_dir=str(tmp_path / "out")) == 0
     lines = (tmp_path / "out" / "registry.jsonl").read_text().splitlines()
     assert [json.loads(line)["version"] for line in lines] == [nonharmonic.__version__]
+
+
+@pytest.mark.parametrize("raw", ["-1", "many"])
+def test_invalid_thread_setting_exits_2_with_one_line(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("NONHARMONIC_THREADS", raw)
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "compose",
+                                  "params": {"a": {"name": "bracket_power"},
+                                             "b": {"name": "exp_mode"}}})
+    # read before numpy loads by the CLI, and again by the library's difference operator
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "cli")]) == 2
+    assert run(cfg, out_dir=str(tmp_path / "lib")) == 2
+    line = ("error: invalid config: NONHARMONIC_THREADS must be a non-negative integer, "
+            f"got '{raw}'")
+    assert capsys.readouterr().err.splitlines() == [line, line]
+    assert not (tmp_path / "cli").exists()
+
+
+def test_run_records_threads_in_summary_and_registry_only(tmp_path, monkeypatch):
+    monkeypatch.setenv("NONHARMONIC_THREADS", "2")
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "symbol-order",
+                                  "params": {"symbol": {"name": "bracket_power", "power": 1.0}}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    record = json.loads((tmp_path / "out" / "registry.jsonl").read_text())
+    assert summary["threads"] == record["threads"]
+    assert summary["threads"]["lanes"] == 2 and summary["threads"]["NONHARMONIC_THREADS"] == "2"
+    assert "OPENBLAS_NUM_THREADS" in summary["threads"]
+    assert "lanes" not in (tmp_path / "out" / "symbol_order.csv").read_text()
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_compose_floor_passes_roundoff_and_fails_a_dropped_term(tmp_path, monkeypatch, N):
+    import math
+
+    import numpy as np
+
+    from nonharmonic import quantize
+    from nonharmonic.model import ModelSpec, build_model
+    from nonharmonic.quantize import composition_floor, composition_oracle
+    from nonharmonic.symbols import Symbol, apply_D, apply_Delta, make_symbol
+
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "compose.json")
+                     .read_text())
+    doc["model"].update(N=N, Q=8 * N)
+    cfg = write_config(tmp_path, doc)
+    assert run(cfg, out_dir=str(tmp_path / "exact")) == 0
+    summary = json.loads((tmp_path / "exact" / "summary.json").read_text())["summary"]
+    # terms 3 only adds roundoff to an exact two-term expansion; at N = 32 that
+    # roundoff exceeds 1e-8 and the floor grows with it
+    sups, floors = summary["weighted_sups"], summary["floors"]
+    assert sups["3"] > sups["2"] and sups["3"] <= floors["3"]
+    assert floors["1"] == floors["2"] == 1e-8 and (floors["3"] > 1e-8) == (N == 32)
+
+    model = build_model(ModelSpec(kind="torus_derivative", N=N, Q=8 * N))
+    a, b = make_symbol("bracket_power", power=1.0), make_symbol("exp_mode", mode=1)
+    oracle = composition_oracle(model, a, b).table(model, 0)
+    weight = model.bracket_val(model.indices) ** (3 - 1.0)
+    scale = np.max((np.max(np.abs(oracle), axis=1) * weight)[np.abs(model.indices) <= N / 2])
+    assert composition_floor(model, oracle, 1.0, 3) == max(1e-8, 300 * np.finfo(float).eps * scale)
+
+    def without_first_difference(model, a, b, terms, family=None):
+        # an expansion that really diverges: the alpha = 1 term is dropped
+        _, margin = a.margin_after(model, terms - 1, "composition")
+        tab = sum(apply_Delta(model, a, k).table(model, margin)
+                  * apply_D(model, b, k).table(model, margin) / math.factorial(k)
+                  for k in range(terms) if k != 1)
+        return Symbol.from_table(model, tab, margin, order=a.order + b.order)
+
+    monkeypatch.setattr(quantize, "compose_symbols", without_first_difference)
+    assert run(cfg, out_dir=str(tmp_path / "mutant")) == 1
+
+
+def run_configs_at(tmp_path, N, names, threads):
+    """Run the named shipped configs at truncation N (Q = 8N) through the CLI
+    in a fresh interpreter, with one BLAS thread and NONHARMONIC_THREADS =
+    `threads`; returns {config: {csv: sha256}} and the lanes each run recorded."""
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import hashlib, json, pathlib, sys",
+        "import nonharmonic.cli as cli",
+        "configs, out, N = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2]), int(sys.argv[3])",
+        "digests, lanes = {}, []",
+        "for name in sys.argv[4:]:",
+        "    doc = json.loads((configs / name).read_text())",
+        "    doc['model'].update(N=N, Q=8 * N)",
+        "    cfg, run_dir = out / name, out / pathlib.Path(name).stem",
+        "    cfg.write_text(json.dumps(doc))",
+        "    assert cli.main(['run', '--config', str(cfg), '--out', str(run_dir)]) == 0, name",
+        "    digests[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()",
+        "                     for p in sorted(run_dir.glob('*.csv'))}",
+        "    lanes.append(json.loads((run_dir / 'summary.json').read_text())['threads']['lanes'])",
+        "print(json.dumps([digests, lanes]))",
+    ])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="1", NONHARMONIC_THREADS=str(threads))
+    out = tmp_path / f"threads{threads}"
+    out.mkdir()
+    proc = subprocess.run([sys.executable, "-c", script, str(root / "configs"), str(out), str(N),
+                           *names], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_shipped_configs_pass_at_N32_with_the_same_bytes_on_two_lanes(tmp_path):
+    names = sorted(p.name for p in (Path(__file__).resolve().parent.parent / "configs")
+                   .glob("*.json"))
+    assert len(names) == 9
+    one_lane, lanes = run_configs_at(tmp_path, 32, names, threads=1)
+    assert lanes == [1] * 9
+    # a window at N = 32 is several row blocks, which two lanes share
+    delta_configs = ["compose.json", "parametrix.json", "symbol_order.json"]
+    two_lanes, lanes = run_configs_at(tmp_path, 32, delta_configs, threads=2)
+    assert lanes == [2] * 3
+    assert two_lanes == {name: one_lane[name] for name in delta_configs}

@@ -487,3 +487,117 @@ def test_cached_tables_are_read_only(hmodel):
         tab = d.table(hmodel, 0)
         with pytest.raises(ValueError, match="read-only"):
             tab[0, 0] = 0.0
+
+
+@pytest.fixture
+def live_blocks(monkeypatch):
+    """Every coupling-tensor block built while the test runs, as weak
+    references; each build first checks that fewer than `lanes` blocks are
+    alive, so at most `lanes` ever are."""
+    import threading
+    import weakref
+
+    import nonharmonic.symbols as symbols
+    from nonharmonic.threads import lanes
+
+    build, refs, lock = symbols.coupling_tensor, [], threading.Lock()
+
+    def counted(*args, **kwargs):
+        with lock:
+            assert sum(ref() is not None for ref in refs) < lanes()
+        C = build(*args, **kwargs)
+        with lock:
+            refs.append(weakref.ref(C if C.base is None else C.base))
+        return C
+
+    monkeypatch.setattr(symbols, "coupling_tensor", counted)
+    return refs
+
+
+BLOCKED_OPS = {"Delta": apply_Delta, "Delta~": apply_Delta_star}
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("op", BLOCKED_OPS.values(), ids=list(BLOCKED_OPS))
+@pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
+def test_row_blocks_equal_one_block_bitwise(models, monkeypatch, live_blocks, name, op, lanes):
+    import nonharmonic.symbols as symbols
+
+    m = models[name]
+    monkeypatch.setenv("NONHARMONIC_THREADS", str(lanes))
+    budget = symbols.BLOCK_BYTES
+    row_bytes = m.Q * (2 * (m.N + DEFAULT_MARGIN) + 1) * 16
+    for alpha in (1, 2, 3):
+        n_out = 2 * (m.N + DEFAULT_MARGIN - alpha) + 1
+        monkeypatch.setattr(symbols, "BLOCK_BYTES", budget)
+        live_blocks.clear()
+        whole = op(m, make_symbol("x_modulated_bracket", power=1.0), alpha)
+        assert len(live_blocks) == 1  # an N = 16 window is one block
+        for rows in (1, 5):  # one row per block, and blocks with a short last one
+            monkeypatch.setattr(symbols, "BLOCK_BYTES", rows * row_bytes)
+            live_blocks.clear()
+            got = op(m, make_symbol("x_modulated_bracket", power=1.0), alpha)
+            assert len(live_blocks) == -(-n_out // rows)
+            assert all(ref() is None for ref in live_blocks)
+            assert np.array_equal(got.table(m, got.margin), whole.table(m, whole.margin))
+
+
+def test_row_blocks_serve_every_symbol_of_a_window(torus, monkeypatch, live_blocks):
+    import nonharmonic.symbols as symbols
+
+    monkeypatch.setenv("NONHARMONIC_THREADS", "2")
+    whole = apply_Delta_many(torus, mixed_margin_symbols(torus), 2)
+    monkeypatch.setattr(symbols, "BLOCK_BYTES", 1)
+    live_blocks.clear()
+    blocked = apply_Delta_many(torus, mixed_margin_symbols(torus), 2)
+    # one block per output row of each window: margins 4 and 5 read out to 2 and 3
+    assert len(live_blocks) == (2 * 18 + 1) + (2 * 19 + 1)
+    for got, ref in zip(blocked, whole):
+        assert np.array_equal(got.table(torus, got.margin), ref.table(torus, ref.margin))
+
+
+def test_delta_memory_stays_bounded_at_N64():
+    # the whole N = 64 window would be a 154 MB tensor; its row blocks are a few MB each
+    import os
+    import subprocess
+    import sys
+
+    script = "\n".join([
+        "import resource",
+        "from nonharmonic.model import ModelSpec, build_model",
+        "from nonharmonic.symbols import apply_Delta, make_symbol",
+        "def peak_mb():",
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0",
+        "small = build_model(ModelSpec(kind='torus_derivative', N=8, Q=64))",
+        "apply_Delta(small, make_symbol('x_modulated_bracket', power=1.0), 1)",
+        "model = build_model(ModelSpec(kind='torus_derivative', N=64, Q=512))",
+        "before = peak_mb()",
+        "apply_Delta(model, make_symbol('x_modulated_bracket', power=1.0), 1)",
+        "print(peak_mb() - before)",
+    ])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", NONHARMONIC_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) < 50.0
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_row_blocks_keep_the_window_contraction_path(monkeypatch, lanes):
+    # at Q = 8 einsum's optimizer contracts a whole window and a single row
+    # along different paths, which need not give the same bits
+    import nonharmonic.symbols as symbols
+
+    m = build_model(ModelSpec(kind="h_derivative", N=1, Q=8, h=2.0))
+    n_in = 2 * (m.N + DEFAULT_MARGIN) + 1
+    q_pow, dual = np.ones((m.Q, m.Q)), np.ones((n_in, m.Q))
+    paths = [np.einsum_path(symbols._COUPLING, q_pow, dual, np.ones((rows, m.Q)), m.w,
+                            optimize=True)[0] for rows in (n_in - 2, 1)]
+    assert paths[0] != paths[1]
+    monkeypatch.setenv("NONHARMONIC_THREADS", str(lanes))
+    budget = symbols.BLOCK_BYTES
+    for op in (apply_Delta, apply_Delta_star):
+        monkeypatch.setattr(symbols, "BLOCK_BYTES", budget)
+        whole = op(m, make_symbol("x_modulated_bracket", power=1.0), 1)
+        monkeypatch.setattr(symbols, "BLOCK_BYTES", 1)  # one row per block
+        got = op(m, make_symbol("x_modulated_bracket", power=1.0), 1)
+        assert np.array_equal(got.table(m, got.margin), whole.table(m, whole.margin))
