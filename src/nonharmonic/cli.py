@@ -12,12 +12,14 @@ exception).
 
 Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
-byte-identical CSV files.  The env var NONHARMONIC_THREADS caps both the
-BLAS threads and the lanes that compute the row blocks of Delta^alpha side
-by side; 0 or unset means automatic (BLAS picks, one lane per usable core),
-and a value that is not a non-negative integer exits 2.  The lanes and the
-thread variables go to the `threads` block of summary.json and of the
-registry record, never to a CSV.
+byte-identical CSV files.  The env var NONHARMONIC_THREADS caps the compute
+threads: NONHARMONIC_THREADS=k sets every BLAS variable that is unset to k,
+and the row blocks of Delta^alpha run on as many lanes as fit in k beside
+the BLAS threads (k lanes at OPENBLAS_NUM_THREADS=1).  0 or unset means
+automatic: the BLAS picks its thread count, and the lanes fill the usable
+cores it leaves.  A value that is not a non-negative integer exits 2 before
+anything is written.  The lanes and the thread variables go to the
+`threads` block of summary.json and of the registry record, never to a CSV.
 
 A config is checked against CONFIG_SCHEMA and the params schema of its
 task by `schema_violation`, a validator in this module, not a library: it
@@ -581,6 +583,7 @@ def _failure(exc: Exception) -> int:
 
 
 def _run(config_path: str, out_dir, seed) -> int:
+    thread_record = threads.record()
     config = load_config(config_path)
     if seed is None:
         seed = int(config.get("seed", 0))
@@ -604,7 +607,6 @@ def _run(config_path: str, out_dir, seed) -> int:
         path = out / name
         write_csv(path, header, rows)
         csv_paths.append(str(path))
-    thread_record = threads.record()
     summary_doc = {"task": task, "digest": digest, "seed": seed, "passed": passed,
                    "summary": summary, "csv": csv_paths, "threads": thread_record}
     with open(out / "summary.json", "w", encoding="utf-8") as fh:

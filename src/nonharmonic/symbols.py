@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
 from .model import ModelProblem
-from .threads import lanes, ordered_map
+from .threads import blas_threads, lanes, setting, usable_cores
 
 #: default extension margin: how far past +-N evaluator symbols are sampled
 DEFAULT_MARGIN = 4
@@ -281,29 +281,29 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
 #: the coupling tensor as an einsum over (q^alpha, conj(dual_in), basis_out, w)
 _COUPLING = "xy,ey,gy,y->xge"
 
-#: bytes of one block of the coupling tensor: every window at N <= 16 (Q = 8N)
-#: is one block, a window at N = 32 is five or six, and memory stays bounded as N grows
+#: bytes of one block of the coupling tensor per BLAS thread: every window at
+#: N <= 16 (Q = 8N) is one block, a window at N = 32 is five or six at one BLAS
+#: thread, and memory stays bounded as N grows
 BLOCK_BYTES = 4 << 20
 
 
 def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
-                    basis_out: np.ndarray, dual_in: np.ndarray,
-                    q_pow: Optional[np.ndarray] = None, optimize=True) -> np.ndarray:
+                    basis_out: np.ndarray, dual_in: np.ndarray, q_pow: np.ndarray,
+                    path: list) -> np.ndarray:
     """C[x, xi, eta] = quad_y(q^alpha(x, y) conj(dual_eta(y)) basis_xi(y)) for
-    the rows xi of basis_out and eta of dual_in.  `q_pow` is q^alpha on the
-    grid, computed here if not given; `optimize` is einsum's.
+    the rows xi of basis_out and eta of dual_in, given `q_pow`, the family's
+    q^alpha on the grid, and einsum's contraction `path`.  `family` and
+    `alpha` name the tensor for the traces and tests that wrap this builder.
 
     The array is indexed (x, xi, eta) but laid out with x as the fastest
     axis; `_delta` contracts its (xi, eta, x) view, which is contiguous."""
-    if q_pow is None:
-        q_pow = family.power_xy(model.x, model.x, alpha)  # (Q, Q)
-    return np.einsum(_COUPLING, q_pow, dual_in.conj(), basis_out, model.w, optimize=optimize)
+    return np.einsum(_COUPLING, q_pow, dual_in.conj(), basis_out, model.w, optimize=path)
 
 
-def _row_blocks(n_rows: int, row_bytes: int) -> list:
-    """Consecutive slices of range(n_rows), each at most BLOCK_BYTES (and at
+def _row_blocks(n_rows: int, row_bytes: int, block_bytes: int) -> list:
+    """Consecutive slices of range(n_rows), each at most block_bytes (and at
     least one row) long."""
-    step = max(1, BLOCK_BYTES // row_bytes)
+    step = max(1, block_bytes // row_bytes)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
@@ -317,8 +317,9 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     token, family).  The coupling tensor depends on the window but not on
     the symbol, so it serves every symbol that misses the cache over the
     same input margin.  It is built and contracted in blocks of output rows
-    xi of at most BLOCK_BYTES, which `threads.lanes()` lanes work through
-    side by side; each block is dropped once contracted, and none is kept.
+    xi of at most BLOCK_BYTES per BLAS thread, which `threads.lanes()` lanes
+    work through side by side, one block each at a time; each block is
+    dropped once contracted, and none is kept.
     Every block takes the whole window's q^alpha and contraction path, so
     it is built by the same operations, in the same order, as those rows
     of the whole tensor; the rows are put back in order.  That the BLAS
@@ -333,6 +334,10 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     for i, in_margin in enumerate(margins):
         if out[i] is None:
             windows.setdefault(in_margin, []).append(i)
+    n_lanes = lanes()
+    # a lane whose BLAS runs several threads (at most the thread cap) takes a
+    # block as large per thread: a few rows are too small a product for them
+    block_bytes = BLOCK_BYTES * min(blas_threads(), setting() or usable_cores())
 
     for in_margin, members in windows.items():
         out_margin = in_margin - alpha
@@ -349,12 +354,26 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
 
         def contract(rows):
             # (rows, 2*in_off+1, Q) view of the (Q, xi, eta) block
-            C = coupling_tensor(model, family, alpha, B_out[rows], D_in, q_pow=q_pow,
-                                optimize=path).transpose(1, 2, 0)
+            C = coupling_tensor(model, family, alpha, B_out[rows], D_in, q_pow,
+                                path).transpose(1, 2, 0)
             return [np.einsum("gex,ex->gx", C, w) for w in weighted]
 
-        blocks = _row_blocks(len(B_out), model.Q * len(D_in) * 16)
-        parts = ordered_map(contract, blocks, lanes())
+        blocks = _row_blocks(len(B_out), model.Q * len(D_in) * 16, block_bytes)
+        if n_lanes == 1 or len(blocks) == 1:
+            parts = [contract(rows) for rows in blocks]
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # a few ms to load: only here
+
+            parts = [None] * len(blocks)
+            with ThreadPoolExecutor(n_lanes - 1) as pool:
+                # the calling thread is a lane too and takes every n_lanes-th block,
+                # which saves a helper and the malloc arena its allocations would grow
+                helped = {b: pool.submit(contract, rows) for b, rows in enumerate(blocks)
+                          if b % n_lanes}
+                for b in range(0, len(blocks), n_lanes):
+                    parts[b] = contract(blocks[b])
+                for b, future in helped.items():
+                    parts[b] = future.result()
         for j, i in enumerate(members):
             sym = syms[i]
             summed = np.concatenate([part[j] for part in parts])

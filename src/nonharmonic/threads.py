@@ -1,11 +1,14 @@
 """The thread setting, read in one place, and the lanes that share work.
 
-NONHARMONIC_THREADS caps both the BLAS threads (the CLI sets the BLAS
-variables from it before numpy loads) and the lanes that compute the row
-blocks of a difference operator side by side.  0 or unset means automatic:
-the BLAS picks its own thread count, and there is one lane per usable
-core.  Any other value that is not a non-negative integer is a
-ConfigurationError.
+NONHARMONIC_THREADS caps the compute threads: the lanes that compute the
+row blocks of a difference operator side by side, times the BLAS threads
+of each lane.  The CLI sets every BLAS variable that is unset to the
+setting before numpy loads, and the lanes take the threads the BLAS
+leaves: NONHARMONIC_THREADS=k runs one lane of k BLAS threads, or k lanes
+when the BLAS is held to one thread.  0 or unset means automatic: the BLAS
+picks its own thread count, and the lanes fill the usable cores it leaves
+(one lane when it takes them all).  Any other value that is not a
+non-negative integer is a ConfigurationError.
 
 This module loads no numpy.
 """
@@ -13,8 +16,6 @@ This module loads no numpy.
 from __future__ import annotations
 
 import os
-import threading
-from typing import Callable, Sequence
 
 from .errors import ConfigurationError
 
@@ -23,6 +24,9 @@ VARIABLE = "NONHARMONIC_THREADS"
 #: thread counts of the BLAS and OpenMP runtimes, read once when they load
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                   "NUMEXPR_NUM_THREADS")
+
+#: the variables an OpenBLAS or MKL build takes its thread count from, first one first
+_BLAS_COUNT_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def setting() -> int:
@@ -55,49 +59,25 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def blas_threads() -> int:
+    """The BLAS's thread count as its variables give it; the usable cores,
+    its default, when none is a positive integer."""
+    for var in _BLAS_COUNT_VARIABLES:
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return usable_cores()
+
+
 def lanes() -> int:
-    """The number of lanes: the thread setting, or the usable cores if it is 0."""
-    return setting() or usable_cores()
+    """The number of lanes: as many as fit, with blas_threads() each, in the
+    thread setting, or in the usable cores if it is 0; at least one."""
+    return max(1, (setting() or usable_cores()) // blas_threads())
 
 
 def record() -> dict:
     """The lanes and the raw thread variables, for run records."""
     return {"lanes": lanes(), **{var: os.environ.get(var) for var in (VARIABLE, *BLAS_VARIABLES)}}
-
-
-def ordered_map(fn: Callable, items: Sequence, lanes: int) -> list:
-    """[fn(item) for item in items], computed on the calling thread plus
-    lanes - 1 helper threads.
-
-    Each lane takes the next item only once its previous call has returned,
-    so at most `lanes` calls run at once and the results come back in item
-    order.  The first exception raised by a call stops every lane from
-    taking another item and is raised again here."""
-    lanes = min(lanes, len(items))
-    if lanes <= 1:
-        return [fn(item) for item in items]
-    out = [None] * len(items)
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
-    errors = []
-
-    def lane():
-        while not errors:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                out[i] = fn(items[i])
-            except BaseException as exc:  # handed to the calling thread
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=lane, daemon=True) for _ in range(lanes - 1)]
-    for helper in helpers:
-        helper.start()
-    lane()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return out

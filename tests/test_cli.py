@@ -537,22 +537,26 @@ def test_registry_version_is_the_package_version(tmp_path):
 
 
 @pytest.mark.parametrize("raw", ["-1", "many"])
-def test_invalid_thread_setting_exits_2_with_one_line(tmp_path, capsys, monkeypatch, raw):
+@pytest.mark.parametrize("task, params", [
+    ("compose", {"a": {"name": "bracket_power"}, "b": {"name": "exp_mode"}}),
+    ("transform-check", {}),  # no difference operator: only the run reads the setting
+])
+def test_invalid_thread_setting_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, raw,
+                                                           task, params):
     monkeypatch.setenv("NONHARMONIC_THREADS", raw)
-    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "compose",
-                                  "params": {"a": {"name": "bracket_power"},
-                                             "b": {"name": "exp_mode"}}})
-    # read before numpy loads by the CLI, and again by the library's difference operator
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": task, "params": params})
+    # read before numpy loads by the CLI, and before anything runs by the library
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "cli")]) == 2
     assert run(cfg, out_dir=str(tmp_path / "lib")) == 2
     line = ("error: invalid config: NONHARMONIC_THREADS must be a non-negative integer, "
             f"got '{raw}'")
     assert capsys.readouterr().err.splitlines() == [line, line]
-    assert not (tmp_path / "cli").exists()
+    assert not (tmp_path / "cli").exists() and not (tmp_path / "lib").exists()
 
 
 def test_run_records_threads_in_summary_and_registry_only(tmp_path, monkeypatch):
     monkeypatch.setenv("NONHARMONIC_THREADS", "2")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "symbol-order",
                                   "params": {"symbol": {"name": "bracket_power", "power": 1.0}}})
     assert run(cfg, out_dir=str(tmp_path / "out")) == 0

@@ -514,6 +514,15 @@ def live_blocks(monkeypatch):
     return refs
 
 
+def use_lanes(monkeypatch, n):
+    """Set n lanes of one BLAS thread each, whatever the test run's BLAS variables."""
+    from nonharmonic.threads import lanes
+
+    monkeypatch.setenv("NONHARMONIC_THREADS", str(n))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert lanes() == n
+
+
 BLOCKED_OPS = {"Delta": apply_Delta, "Delta~": apply_Delta_star}
 
 
@@ -524,7 +533,7 @@ def test_row_blocks_equal_one_block_bitwise(models, monkeypatch, live_blocks, na
     import nonharmonic.symbols as symbols
 
     m = models[name]
-    monkeypatch.setenv("NONHARMONIC_THREADS", str(lanes))
+    use_lanes(monkeypatch, lanes)
     budget = symbols.BLOCK_BYTES
     row_bytes = m.Q * (2 * (m.N + DEFAULT_MARGIN) + 1) * 16
     for alpha in (1, 2, 3):
@@ -545,7 +554,7 @@ def test_row_blocks_equal_one_block_bitwise(models, monkeypatch, live_blocks, na
 def test_row_blocks_serve_every_symbol_of_a_window(torus, monkeypatch, live_blocks):
     import nonharmonic.symbols as symbols
 
-    monkeypatch.setenv("NONHARMONIC_THREADS", "2")
+    use_lanes(monkeypatch, 2)
     whole = apply_Delta_many(torus, mixed_margin_symbols(torus), 2)
     monkeypatch.setattr(symbols, "BLOCK_BYTES", 1)
     live_blocks.clear()
@@ -556,11 +565,16 @@ def test_row_blocks_serve_every_symbol_of_a_window(torus, monkeypatch, live_bloc
         assert np.array_equal(got.table(torus, got.margin), ref.table(torus, ref.margin))
 
 
-def test_delta_memory_stays_bounded_at_N64():
+@pytest.mark.parametrize("threads", [{"OPENBLAS_NUM_THREADS": "1", "NONHARMONIC_THREADS": "2"},
+                                     {"NONHARMONIC_THREADS": "2"}],
+                         ids=["two_lanes", "blas_threads"])
+def test_delta_memory_stays_bounded_at_N64(threads):
     # the whole N = 64 window would be a 154 MB tensor; its row blocks are a few MB each
     import os
     import subprocess
     import sys
+
+    from nonharmonic.threads import BLAS_VARIABLES, VARIABLE
 
     script = "\n".join([
         "import resource",
@@ -575,7 +589,8 @@ def test_delta_memory_stays_bounded_at_N64():
         "apply_Delta(model, make_symbol('x_modulated_bracket', power=1.0), 1)",
         "print(peak_mb() - before)",
     ])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", NONHARMONIC_THREADS="2")
+    env = {k: v for k, v in os.environ.items() if k not in (VARIABLE, *BLAS_VARIABLES)}
+    env.update(threads)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout.splitlines()[-1]) < 50.0
@@ -593,7 +608,7 @@ def test_row_blocks_keep_the_window_contraction_path(monkeypatch, lanes):
     paths = [np.einsum_path(symbols._COUPLING, q_pow, dual, np.ones((rows, m.Q)), m.w,
                             optimize=True)[0] for rows in (n_in - 2, 1)]
     assert paths[0] != paths[1]
-    monkeypatch.setenv("NONHARMONIC_THREADS", str(lanes))
+    use_lanes(monkeypatch, lanes)
     budget = symbols.BLOCK_BYTES
     for op in (apply_Delta, apply_Delta_star):
         monkeypatch.setattr(symbols, "BLOCK_BYTES", budget)

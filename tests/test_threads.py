@@ -1,5 +1,4 @@
-import threading
-import time
+import os
 
 import pytest
 
@@ -25,11 +24,49 @@ def test_setting_rejects_anything_else(monkeypatch, raw):
         threads.lanes()
 
 
-def test_lanes_are_the_setting_or_the_usable_cores(monkeypatch):
+@pytest.fixture
+def no_thread_variables(monkeypatch):
+    for var in (threads.VARIABLE, *threads.BLAS_VARIABLES):
+        monkeypatch.setenv(var, "")  # so that a variable set by the test is removed after it
+        monkeypatch.delenv(var)
+    return monkeypatch
+
+
+def test_blas_threads_follow_the_variable_the_blas_reads_first(no_thread_variables):
+    monkeypatch = no_thread_variables
+    assert threads.blas_threads() == threads.usable_cores()  # the BLAS's own default
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert threads.blas_threads() == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert threads.blas_threads() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "auto")  # not a count: the next variable is
+    assert threads.blas_threads() == 3
+
+
+def test_lanes_times_blas_threads_stay_within_the_setting(no_thread_variables):
+    monkeypatch, cores = no_thread_variables, threads.usable_cores()
+    assert threads.lanes() == 1  # the BLAS takes every core
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert threads.lanes() == cores
     monkeypatch.setenv(threads.VARIABLE, "3")
     assert threads.lanes() == 3
-    monkeypatch.setenv(threads.VARIABLE, "0")
-    assert threads.lanes() == threads.usable_cores() >= 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert threads.lanes() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert threads.lanes() == 1  # never fewer than one
+
+
+def test_cap_blas_sets_the_unset_blas_variables_to_the_setting(no_thread_variables):
+    monkeypatch = no_thread_variables
+    threads.cap_blas()
+    assert all(var not in os.environ for var in threads.BLAS_VARIABLES)  # automatic
+    monkeypatch.setenv(threads.VARIABLE, "2")
+    threads.cap_blas()
+    assert [os.environ[var] for var in threads.BLAS_VARIABLES] == ["2"] * 4
+    assert threads.lanes() == 1  # the BLAS takes both threads
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # a variable already set is kept
+    threads.cap_blas()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1" and threads.lanes() == 2
 
 
 def test_record_names_the_lanes_and_every_thread_variable(monkeypatch):
@@ -40,54 +77,3 @@ def test_record_names_the_lanes_and_every_thread_variable(monkeypatch):
     assert rec["lanes"] == 2 and rec[threads.VARIABLE] == "2"
     assert rec["OPENBLAS_NUM_THREADS"] == "1" and rec["MKL_NUM_THREADS"] is None
     assert set(rec) == {"lanes", threads.VARIABLE, *threads.BLAS_VARIABLES}
-
-
-@pytest.mark.parametrize("lanes", [1, 2, 3])
-def test_ordered_map_keeps_item_order_and_at_most_lanes_in_flight(lanes):
-    lock, running, peak, callers = threading.Lock(), [0], [0], set()
-
-    def slow_square(i):
-        with lock:
-            running[0] += 1
-            peak[0] = max(peak[0], running[0])
-            callers.add(threading.get_ident())
-        time.sleep(0.002 * (7 - i % 7))  # later items may finish first
-        with lock:
-            running[0] -= 1
-        return i * i
-
-    assert threads.ordered_map(slow_square, range(20), lanes) == [i * i for i in range(20)]
-    assert peak[0] <= lanes and len(callers) <= lanes
-    assert threading.get_ident() in callers  # the calling thread is one of the lanes
-
-
-def test_ordered_map_raises_the_first_error_and_stops_taking_items():
-    taken = []
-
-    def fail_at_three(i):
-        taken.append(i)
-        if i == 3:
-            raise ValueError("item 3")
-        time.sleep(0.001)
-        return i
-
-    with pytest.raises(ValueError, match="item 3"):
-        threads.ordered_map(fail_at_three, range(100), 2)
-    assert len(taken) < 100
-    assert threads.ordered_map(fail_at_three, [], 2) == []
-
-
-def test_ordered_map_under_contention_loses_no_item():
-    # more lanes than cores and a short switch interval, to shake out a lost update
-    import sys
-
-    interval, alive = sys.getswitchinterval(), threading.active_count()
-    sys.setswitchinterval(1e-6)
-    try:
-        done = []
-        result = threads.ordered_map(lambda i: done.append(i) or -i, range(2000), 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert result == [-i for i in range(2000)]
-    assert sorted(done) == list(range(2000))
-    assert threading.active_count() == alive  # every helper has been joined
