@@ -24,7 +24,9 @@ from .errors import (BranchCutError, ConfigurationError, EllipticityError,
                      SpectrumProximityError)
 from .model import ModelProblem
 from .quantize import check_solvable, galerkin_matrix, symbol_of_matrix
-from .symbols import DEFAULT_FAMILY, AdmissibleFamily, Symbol, apply_D, apply_Delta, trim_window
+from .symbols import (DEFAULT_FAMILY, AdmissibleFamily, Symbol, _row_blocks, apply_D,
+                      apply_Delta, trim_window)
+from .threads import lanes
 
 # ---------------------------------------------------------------------------
 # contours
@@ -255,8 +257,9 @@ def certify_parameter_ellipticity(model: ModelProblem, a: Symbol, m: float,
     """Certify sup over lambda, grid, window of |(|l|^(1/m) + <xi>)^m / (a - l)|.
 
     Samples colliding with values of a are re-drawn with a small jitter, at
-    most three times, before giving up.  Optionally verifies the resolvent
-    derivative identity d_lambda R = R^2 by central differences.
+    most three times, and each re-draw is checked before giving up.
+    Optionally verifies the resolvent derivative identity d_lambda R = R^2
+    by central differences.
     """
     rng = rng or np.random.default_rng(0)
     tab = a.table(model, 0)
@@ -264,13 +267,12 @@ def certify_parameter_ellipticity(model: ModelProblem, a: Symbol, m: float,
     sup = 0.0
     scale = max(1.0, float(np.max(np.abs(tab))))
     for lam in np.asarray(lambdas, dtype=complex):
-        for attempt in range(3):
-            dist = np.abs(tab - lam)
-            if np.min(dist) > 1e-9 * scale:
-                break
+        redraws = 0
+        while np.min(np.abs(tab - lam)) <= 1e-9 * scale:
+            if redraws == 3:
+                raise SpectrumProximityError(f"lambda sample {lam} keeps hitting values of a")
             lam = lam + (1e-6 * scale) * (1.0 + 1j) * (1.0 + rng.standard_normal())
-        else:
-            raise SpectrumProximityError(f"lambda sample {lam} keeps hitting values of a")
+            redraws += 1
         weight = (abs(lam) ** (1.0 / m) + br) ** m
         sup = max(sup, float(np.max(weight[:, None] / np.abs(tab - lam))))
 
@@ -327,6 +329,11 @@ class FunctionalCalculusResult:
                                  name=f"F[{self.a.name}]_leading")
 
 
+#: bytes of the inverses (M - zI)^-1 in one block of contour nodes: three
+#: nodes at N = 32 and one from N = 64, so a round of blocks stays small
+NODE_BLOCK_BYTES = 256 << 10
+
+
 def dunford_riesz(model: ModelProblem, a: Symbol, F: Callable, contour: Contour,
                   decay_exponent: Optional[float] = None) -> FunctionalCalculusResult:
     """Contour functional calculus sigma_{F(A)} = -(1/2 pi i) sum w F(z) Rhat_z.
@@ -347,7 +354,15 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
     """`dunford_riesz` of each (F, decay_exponent) pair over one contour.
 
     M - zI is inverted once per node and the inverse shared by every F, so
-    each result is bitwise the one a call of its own gives.
+    each result is bitwise the one a call of its own gives.  The nodes are
+    inverted in consecutive blocks of at most NODE_BLOCK_BYTES of inverses,
+    in rounds of one block per lane (`threads.lanes()`): the calling thread
+    inverts the first block of each round and a thread pool the others.
+    The calling thread adds every inverse to each F's sum in node order, by
+    the same expression as one lane, so the lanes change no bit.  A pool
+    block is handed out when the block one round before it is read, so the
+    pool works while the calling thread adds, and at most one block per
+    lane is alive at a time.
     """
     Fzs = []
     for F, decay_exponent in functions:
@@ -365,10 +380,36 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
     n = M.shape[0]
     eye = np.eye(n)
     accs = [np.zeros((n, n), dtype=complex) for _ in Fzs]
-    for k, (z, w) in enumerate(zip(contour.nodes, contour.weights)):
-        X = np.linalg.inv(M - z * eye)
-        for acc, Fz in zip(accs, Fzs):
-            acc += (w * Fz[k]) * X
+
+    def invert(ks):
+        # all a helper lane runs: no function of the package, so none is traced there
+        return [np.linalg.inv(M - z * eye) for z in contour.nodes[ks]]
+
+    def add(ks, inverses):
+        for k, X in zip(range(ks.start, ks.stop), inverses):
+            w = contour.weights[k]
+            for acc, Fz in zip(accs, Fzs):
+                acc += (w * Fz[k]) * X
+
+    n_lanes = lanes()
+    blocks = _row_blocks(len(contour.nodes), n * n * 16, NODE_BLOCK_BYTES)
+    if n_lanes == 1 or len(blocks) == 1:
+        for ks in blocks:
+            add(ks, invert(ks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # a few ms to load: only here
+
+        with ThreadPoolExecutor(n_lanes - 1) as pool:
+            helped = {b: pool.submit(invert, blocks[b])
+                      for b in range(1, min(n_lanes, len(blocks)))}
+            for b, ks in enumerate(blocks):
+                if b % n_lanes == 0:
+                    add(ks, invert(ks))
+                    continue
+                if b + n_lanes < len(blocks):
+                    helped[b + n_lanes] = pool.submit(invert, blocks[b + n_lanes])
+                # popped as it is read, so the block is dropped once added
+                add(ks, helped.pop(b).result())
 
     results = []
     for (_, decay_exponent), Fz, acc in zip(functions, Fzs, accs):

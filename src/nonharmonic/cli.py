@@ -14,8 +14,9 @@ Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
 byte-identical CSV files.  The env var NONHARMONIC_THREADS caps the compute
 threads: NONHARMONIC_THREADS=k sets every BLAS variable that is unset to k,
-and the row blocks of Delta^alpha run on as many lanes as fit in k beside
-the BLAS threads (k lanes at OPENBLAS_NUM_THREADS=1).  0 or unset means
+and the row blocks of Delta^alpha and the contour-node inversions of the
+functional calculus run on as many lanes as fit in k beside the BLAS
+threads (k lanes at OPENBLAS_NUM_THREADS=1).  0 or unset means
 automatic: the BLAS picks its thread count, and the lanes fill the usable
 cores it leaves.  A value that is not a non-negative integer exits 2 before
 anything is written.  The lanes and the thread variables go to the

@@ -1,11 +1,12 @@
 """The thread setting, read in one place, and the lanes that share work.
 
 NONHARMONIC_THREADS caps the compute threads: the lanes that compute the
-row blocks of a difference operator side by side, times the BLAS threads
-of each lane.  The CLI sets every BLAS variable that is unset to the
-setting before numpy loads, and the lanes take the threads the BLAS
-leaves: NONHARMONIC_THREADS=k runs one lane of k BLAS threads, or k lanes
-when the BLAS is held to one thread.  0 or unset means automatic: the BLAS
+row blocks of a difference operator, or invert the contour nodes of the
+functional calculus, side by side, times the BLAS threads of each lane.
+The CLI sets every BLAS variable that is unset to the setting before
+numpy loads, and the lanes take the threads the BLAS leaves:
+NONHARMONIC_THREADS=k runs one lane of k BLAS threads, or k lanes when
+the BLAS is held to one thread.  0 or unset means automatic: the BLAS
 picks its own thread count, and the lanes fill the usable cores it leaves
 (one lane when it takes them all).  Any other value that is not a
 non-negative integer is a ConfigurationError.

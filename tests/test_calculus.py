@@ -10,6 +10,7 @@ from nonharmonic.errors import (BranchCutError, ConfigurationError, EllipticityE
 from nonharmonic.model import ModelSpec, build_model
 from nonharmonic.quantize import composition_oracle, galerkin_matrix, symbol_of_matrix
 from nonharmonic.symbols import Symbol, make_symbol
+from test_symbols import use_lanes
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +151,29 @@ def test_ellipticity_jitters_off_symbol_values(torus):
     lam_on_value = np.array([complex(torus.bracket_val(0) ** 2)])  # hits a(0) exactly
     cert = certify_parameter_ellipticity(torus, a, 2.0, lam_on_value, bound=np.inf)
     assert np.isfinite(cert.sup_value)
+
+
+class ScriptedNormals:
+    """A generator stand-in whose standard_normal returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self):
+        return self.values.pop(0)
+
+
+def test_ellipticity_checks_every_redraw(torus):
+    # a draw of -1 leaves lambda where it is, so only the third re-draw moves it
+    a = make_symbol("bracket_power", power=2.0)
+    lam_on_value = np.array([complex(torus.bracket_val(0) ** 2)])
+    rng = ScriptedNormals([-1.0, -1.0, 0.0])
+    cert = certify_parameter_ellipticity(torus, a, 2.0, lam_on_value, bound=np.inf, rng=rng,
+                                         check_derivative=False)
+    assert np.isfinite(cert.sup_value) and rng.values == []
+    with pytest.raises(SpectrumProximityError, match="keeps hitting"):
+        certify_parameter_ellipticity(torus, a, 2.0, lam_on_value, bound=np.inf,
+                                      rng=ScriptedNormals([-1.0] * 3), check_derivative=False)
 
 
 def test_ellipticity_spectrum_on_real_line_vs_imaginary_ray(torus):
@@ -304,6 +328,108 @@ def test_dunford_riesz_many_is_bitwise_one_call_per_function(hmodel, symbol):
         assert np.array_equal(res.symbol.table(hmodel, 0),
                               per_function_reference(hmodel, a, F, contour))
         assert res.symbol.order == a.order * s
+
+
+LANE_CONTOURS = {"circle_7": Contour.circle(center=65.0, radius=150.0, n=7),
+                 "polyline_15": Contour.polyline([-100 - 150j, 300.0, -100 + 150j], n_per_edge=5)}
+
+
+def set_nodes_per_block(monkeypatch, model, nodes):
+    """Lower the node budget of dunford_riesz_many to `nodes` inverses per block."""
+    from nonharmonic import calculus
+
+    n = 2 * model.N + 1
+    monkeypatch.setattr(calculus, "NODE_BLOCK_BYTES", nodes * n * n * 16)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("nodes_per_block", [1, 3])
+@pytest.mark.parametrize("contour", LANE_CONTOURS.values(), ids=list(LANE_CONTOURS))
+@pytest.mark.parametrize("symbol", ["bracket_power", "x_modulated_bracket"])
+@pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2"])
+def test_node_blocks_on_every_lane_equal_the_per_function_loop(models, monkeypatch, name, symbol,
+                                                               contour, nodes_per_block, lanes):
+    import threading
+
+    model, a = models[name], make_symbol(symbol, power=1.0)
+    use_lanes(monkeypatch, lanes)
+    set_nodes_per_block(monkeypatch, model, nodes_per_block)
+    inv, callers = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda A: callers.append(threading.get_ident()) or inv(A))
+    functions = [make_scalar_function("inverse"), make_scalar_function("inverse_sqrt")]
+    results = dunford_riesz_many(model, a, functions, contour)
+    assert len(callers) == len(contour.nodes)  # one inversion per node
+    assert len(set(callers)) == lanes
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    for (F, _), res in zip(functions, results):
+        assert np.array_equal(res.symbol.table(model, 0),
+                              per_function_reference(model, a, F, contour))
+
+
+@pytest.fixture
+def live_inverses(monkeypatch):
+    """Every inverse computed while the test runs, as weak references; each
+    inversion first checks that fewer than `lanes` blocks of inverses are
+    alive, so at most `lanes` blocks ever are."""
+    import threading
+    import weakref
+
+    from nonharmonic import calculus
+    from nonharmonic.threads import lanes
+
+    inv, refs, lock = np.linalg.inv, [], threading.Lock()
+
+    def counted(A):
+        with lock:
+            per_block = max(1, calculus.NODE_BLOCK_BYTES // A.nbytes)
+            assert sum(ref() is not None for ref in refs) < lanes() * per_block
+        X = inv(A)
+        with lock:
+            refs.append(weakref.ref(X if X.base is None else X.base))
+        return X
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return refs
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("nodes_per_block", [1, 3])
+def test_at_most_one_node_block_per_lane_is_alive(hmodel, monkeypatch, live_inverses,
+                                                  nodes_per_block, lanes):
+    use_lanes(monkeypatch, lanes)
+    set_nodes_per_block(monkeypatch, hmodel, nodes_per_block)
+    a = make_symbol("x_modulated_bracket", power=2.0)
+    contour = Contour.default_keyhole(hmodel, a, nodes_per_segment=25)
+    dunford_riesz_many(hmodel, a, [make_scalar_function("inverse")], contour)
+    assert len(live_inverses) == len(contour.nodes)
+    assert all(ref() is None for ref in live_inverses)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_an_inversion_failing_on_a_helper_lane_reaches_the_caller(hmodel, monkeypatch, lanes):
+    import threading
+
+    use_lanes(monkeypatch, lanes)
+    set_nodes_per_block(monkeypatch, hmodel, 1)
+    a = make_symbol("bracket_power", power=2.0)
+    contour = Contour.default_keyhole(hmodel, a, nodes_per_segment=25)
+    # with one node per block, node 5 is the second block of the third round
+    bad = galerkin_matrix(hmodel, a).matrix - contour.nodes[5] * np.eye(2 * hmodel.N + 1)
+    inv, failed_on = np.linalg.inv, []
+
+    def failing(A):
+        if np.array_equal(A, bad):
+            failed_on.append(threading.current_thread())
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(A)
+
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        dunford_riesz_many(hmodel, a, [make_scalar_function("inverse")], contour)
+    assert (failed_on[0] is threading.main_thread()) == (lanes == 1)
+    assert set(threading.enumerate()) == before  # the pool's threads have ended
 
 
 def test_dunford_riesz_zero_function(torus):

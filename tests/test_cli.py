@@ -653,3 +653,12 @@ def test_shipped_configs_pass_at_N32_with_the_same_bytes_on_two_lanes(tmp_path):
     two_lanes, lanes = run_configs_at(tmp_path, 32, delta_configs, threads=2)
     assert lanes == [2] * 3
     assert two_lanes == {name: one_lane[name] for name in delta_configs}
+
+
+def test_funcalc_at_N32_has_the_same_bytes_on_two_lanes(tmp_path):
+    # at N = 32 a block is three contour nodes, and two lanes share the blocks
+    one_lane, lanes = run_configs_at(tmp_path, 32, ["funcalc.json"], threads=1)
+    assert lanes == [1]
+    two_lanes, lanes = run_configs_at(tmp_path, 32, ["funcalc.json"], threads=2)
+    assert lanes == [2]
+    assert two_lanes == one_lane
