@@ -20,13 +20,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import threads
 from .errors import (BranchCutError, ConfigurationError, EllipticityError,
                      SpectrumProximityError)
 from .model import ModelProblem
 from .quantize import check_solvable, galerkin_matrix, symbol_of_matrix
-from .symbols import (DEFAULT_FAMILY, AdmissibleFamily, Symbol, _row_blocks, apply_D,
-                      apply_Delta, trim_window)
-from .threads import lanes
+from .symbols import Symbol, apply_D, apply_Delta, trim_window
 
 # ---------------------------------------------------------------------------
 # contours
@@ -77,11 +76,10 @@ class Contour:
 
     @classmethod
     def keyhole_negative_axis(cls, R: float, eps: float = 0.1,
-                              theta: float = math.pi / 6,
                               nodes_per_segment: int = 100) -> "Contour":
         """Keyhole around the negative real axis, closed at radius R.
 
-        Two rays at angles +-(pi - theta) joined by an arc of radius eps
+        Two rays at angles +-5 pi/6 joined by an arc of radius eps
         around the origin and the closing outer arc through the right
         half-plane.  Rays are parametrized in log-radius; each segment uses
         8 Gauss-Legendre panels so that accuracy improves visibly (instead
@@ -89,9 +87,7 @@ class Contour:
         """
         if not 0 < eps < R:
             raise ConfigurationError(f"keyhole needs 0 < eps < R, got eps={eps}, R={R}")
-        if not 0 < theta < math.pi:
-            raise ConfigurationError(f"opening half-angle must lie in (0, pi), got {theta}")
-        phi = math.pi - theta
+        phi = math.pi - math.pi / 6  # an opening half-angle of pi/6 around the cut
         n = nodes_per_segment
         segs = []
         # upper ray, inward: r from R to eps at angle +phi
@@ -145,13 +141,14 @@ class Contour:
         R = 4.0 * float(np.max(np.abs(galerkin_matrix(model, sym).eigenvalues)))
         return cls.keyhole_negative_axis(R=R, nodes_per_segment=nodes_per_segment)
 
-    def check_clear_of(self, values: np.ndarray, tol: float = 1e-9) -> int:
+    def check_clear_of(self, values: np.ndarray) -> int:
         """The winding number (+1 or -1) shared by all values.  Raises on a
-        node colliding with a value, or unless every discrete winding number
-        sum_k w_k / (z_k - lambda_j) / (2 pi i) is within 1/4 of it."""
+        node within 1e-9 * max(1, max |value|) of a value, or unless every
+        discrete winding number sum_k w_k / (z_k - lambda_j) / (2 pi i) is
+        within 1/4 of it."""
         diff = self.nodes[:, None] - np.asarray(values)[None, :]
         dmin = float(np.min(np.abs(diff)))
-        if dmin < tol * max(1.0, float(np.max(np.abs(values)))):
+        if dmin < 1e-9 * max(1.0, float(np.max(np.abs(values)))):
             raise SpectrumProximityError(f"contour node within {dmin:.3e} of the spectrum")
         wind = (self.weights @ (1.0 / diff)) / (2j * np.pi)
         turns = round(float(wind[0].real))
@@ -180,7 +177,7 @@ def _invert_table(tab: np.ndarray, what: str) -> np.ndarray:
 
 
 def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: float,
-               n_terms: int, family: AdmissibleFamily = DEFAULT_FAMILY) -> ParametrixResult:
+               n_terms: int) -> ParametrixResult:
     """Asymptotic inverse B = sum_{k <= n_terms} B_k of an elliptic symbol.
 
     B_0 = a^-1 and, for N >= 1,
@@ -210,8 +207,8 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
             Bk = Symbol.from_table(model, b_tables[k], margin - k,
                                    order=-m - (rho - delta) * k, rho=rho, delta=delta,
                                    name=f"B_{k}")
-            DBk = apply_D(model, Bk, g, family)
-            term = (apply_Delta(model, a, g, family).table(model, tgt_margin)
+            DBk = apply_D(model, Bk, g)
+            term = (apply_Delta(model, a, g).table(model, tgt_margin)
                     * DBk.table(model, tgt_margin))
             acc += term / math.factorial(g)
         inv_here = trim_window(inv_tab, margin, tgt_margin)
@@ -243,9 +240,10 @@ class EllipticityCertificate:
     derivative_check: Optional[float] = None  # max relative error of dR = R^2
 
 
-def negative_real_ray(n: int = 60, t_max: float = 1e6) -> np.ndarray:
-    """Sample points on the closed negative real axis including 0."""
-    ts = np.concatenate([[0.0], np.logspace(-3, math.log10(t_max), n - 1)])
+def negative_real_ray() -> np.ndarray:
+    """60 sample points on the negative real axis: 0 and 59 log-spaced
+    points from -1e-3 to -1e6."""
+    ts = np.concatenate([[0.0], np.logspace(-3, 6.0, 59)])
     return -ts + 0.0j
 
 
@@ -391,8 +389,8 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
             for acc, Fz in zip(accs, Fzs):
                 acc += (w * Fz[k]) * X
 
-    n_lanes = lanes()
-    blocks = _row_blocks(len(contour.nodes), n * n * 16, NODE_BLOCK_BYTES)
+    n_lanes = threads.lanes()
+    blocks = threads.blocks(len(contour.nodes), n * n * 16, NODE_BLOCK_BYTES)
     if n_lanes == 1 or len(blocks) == 1:
         for ks in blocks:
             add(ks, invert(ks))

@@ -138,11 +138,6 @@ CONFIG_SCHEMA = {
 }
 
 
-def _setup_threads():
-    """Apply NONHARMONIC_THREADS to the BLAS before numpy is imported anywhere."""
-    threads.cap_blas()
-
-
 def fmt(x) -> str:
     """One CSV cell: integers as-is, reals with 17 significant digits."""
     if isinstance(x, bool):
@@ -596,9 +591,13 @@ def _run(config_path: str, out_dir, seed) -> int:
     mdl_block = config["model"]
     spec = ModelSpec(kind=mdl_block["kind"], N=mdl_block["N"], Q=mdl_block["Q"],
                      h=mdl_block.get("h"), m=mdl_block.get("m"))
-    model = build_model(spec)
+    spec.validate()  # so an invalid model leaves no output directory
     out = Path(out_dir or config.get("out_dir", "runs"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output directory {out} cannot be made: {exc}") from exc
+    model = build_model(spec)
     task = config["task"]
     passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
 
@@ -627,31 +626,34 @@ def _run(config_path: str, out_dir, seed) -> int:
 
 def report(registry_path: str, out_path: str = None) -> int:
     """Aggregate a registry file into a one-line-per-run CSV summary."""
-    path = Path(registry_path)
-    if not path.exists():
-        print(f"error: registry {registry_path} does not exist", file=sys.stderr)
-        return 2
     header = ["digest", "timestamp", "version", "task", "passed"]
     rows, corrupt, total = [], 0, 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
-            try:
-                rec = json.loads(line)
-                rows.append([rec["digest"], rec["timestamp"], rec["version"],
-                             rec["task"], "1" if rec["passed"] else "0"])
-            except (json.JSONDecodeError, KeyError, TypeError):
-                corrupt += 1
-                print(f"warning: skipping corrupt registry entry at line {total}", file=sys.stderr)
+    try:
+        with open(registry_path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                total += 1
+                try:
+                    rec = json.loads(line)
+                    rows.append([rec["digest"], rec["timestamp"], rec["version"],
+                                 rec["task"], "1" if rec["passed"] else "0"])
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    corrupt += 1
+                    print(f"warning: skipping corrupt registry entry at line {total}",
+                          file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _failure(ConfigurationError(f"registry {registry_path} cannot be read: {exc}"))
     if total > 0 and corrupt == total:
         print("error: every registry entry is corrupt", file=sys.stderr)
         return 1
     out = sys.stdout
     if out_path:
-        out = open(out_path, "w", newline="", encoding="utf-8")
+        try:
+            out = open(out_path, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            return _failure(ConfigurationError(f"report {out_path} cannot be written: {exc}"))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -662,7 +664,7 @@ def report(registry_path: str, out_path: str = None) -> int:
 
 def main(argv=None) -> int:
     try:
-        _setup_threads()
+        threads.cap_blas()  # before numpy is imported anywhere
     except ConfigurationError as exc:
         return _failure(exc)
     parser = argparse.ArgumentParser(prog="nonharmonic",

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ShapeError, SpectrumProximityError, WindowExhaustedError, WZViolationError
 from .model import ModelProblem
-from .symbols import (DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE, AdmissibleFamily, Symbol, apply_D,
-                      apply_Delta, apply_Delta_star)
+from .symbols import Symbol, apply_D, apply_Delta, apply_Delta_star
 from .transform import CoeffVector, fourier, inverse
 
 
@@ -66,19 +65,15 @@ def op_apply_coeff(model: ModelProblem, sym: Symbol, c: CoeffVector) -> np.ndarr
     return np.einsum("k,kx,kx->x", c.values, tab, model.u, optimize=True)
 
 
-def extract_symbol(model: ModelProblem, apply: Callable[[np.ndarray], np.ndarray],
-                   margin: int = 0, order: float = 0.0, rho: float = 1.0,
-                   delta: float = 0.0, name: str = "extracted") -> Symbol:
-    """Recover the symbol of an operator from its action on eigenfunctions."""
-    M = model.N + margin
+def extract_symbol(model: ModelProblem, apply: Callable[[np.ndarray], np.ndarray]) -> Symbol:
+    """Recover the symbol of an operator from its action on eigenfunctions,
+    over the window {-N, ..., N}."""
     rows = []
-    for xi in range(-M, M + 1):
-        u = model.u_row(xi)
+    for xi, u in zip(model.indices, model.u):
         if np.min(np.abs(u)) < 1e-12:
             raise WZViolationError(f"|u_{xi}| falls below 1e-12 on the grid; cannot divide")
         rows.append(apply(u) / u)
-    return Symbol.from_table(model, np.stack(rows), margin, order=order, rho=rho,
-                             delta=delta, name=name)
+    return Symbol.from_table(model, np.stack(rows), 0, name="extracted")
 
 
 def symbol_of_matrix(model: ModelProblem, M: np.ndarray, order: float = 0.0,
@@ -127,13 +122,7 @@ def check_solvable(A: np.ndarray, what: str):
         raise SpectrumProximityError(f"{what} has singular values {s[0]:.3e} down to {s[-1]:.3e}")
 
 
-def adjoint_galerkin(model: ModelProblem, M: GalerkinMatrix) -> np.ndarray:
-    """v-basis matrix of the adjoint operator: the conjugate transpose."""
-    return M.matrix.conj().T
-
-
-def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int,
-                    family: AdmissibleFamily = DEFAULT_FAMILY) -> Symbol:
+def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int) -> Symbol:
     """Truncated composition expansion
     sigma^(terms) = sum_{alpha < terms} (1/alpha!) (Delta^alpha a)(D^(alpha) b)."""
     if terms < 1:
@@ -142,8 +131,8 @@ def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int,
 
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     for alpha in range(terms):
-        da = apply_Delta(model, a, alpha, family)
-        db = apply_D(model, b, alpha, family)
+        da = apply_Delta(model, a, alpha)
+        db = apply_D(model, b, alpha)
         term = da.table(model, out_margin) * db.table(model, out_margin)
         total += term / math.factorial(alpha)
     return Symbol.from_table(model, total, out_margin, order=a.order + b.order,
@@ -151,13 +140,11 @@ def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int,
                              name=f"({a.name} o {b.name})[{terms}]")
 
 
-def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int,
-                   family_tilde: AdmissibleFamily = DEFAULT_FAMILY_TILDE) -> Symbol:
+def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int) -> Symbol:
     """Truncated adjoint expansion
     tau^(terms) = sum_{alpha < terms} (1/alpha!) Delta~^alpha D^(alpha) conj(a)."""
     if terms < 1:
         raise WindowExhaustedError("adjoint expansion needs terms >= 1")
-    family = family_tilde.conjugate()  # direct family, for the D transform
     margin, out_margin = a.margin_after(model, terms - 1, f"adjoint with terms={terms}")
 
     # conj(a), cached on a, keeps its own D^(alpha) and Delta~^alpha from one call to the next
@@ -167,8 +154,8 @@ def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int,
         delta=a.delta, name=f"conj[{a.name}]"))
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     for alpha in range(terms):
-        work = apply_D(model, conj_a, alpha, family)
-        work = apply_Delta_star(model, work, alpha, family_tilde)
+        work = apply_D(model, conj_a, alpha)
+        work = apply_Delta_star(model, work, alpha)
         total += work.table(model, out_margin) / math.factorial(alpha)
     return Symbol.from_table(model, total, out_margin, order=a.order, rho=a.rho,
                              delta=a.delta, name=f"adj[{a.name}][{terms}]")
@@ -216,8 +203,8 @@ def composition_floor(model: ModelProblem, oracle: np.ndarray, order: float,
 def adjoint_oracle(model: ModelProblem, a: Symbol) -> Symbol:
     """Exact finite-section adjoint: conjugate transpose of the Galerkin
     matrix, extracted against the v-basis."""
-    M = galerkin_matrix(model, a)
-    return symbol_of_matrix(model, adjoint_galerkin(model, M), order=a.order,
+    M = galerkin_matrix(model, a).matrix
+    return symbol_of_matrix(model, M.conj().T, order=a.order,
                             name=f"oracle(adj {a.name})", basis=model.v)
 
 

@@ -21,9 +21,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import threads
 from .errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
 from .model import ModelProblem
-from .threads import blas_threads, lanes, setting, usable_cores
 
 #: default extension margin: how far past +-N evaluator symbols are sampled
 DEFAULT_MARGIN = 4
@@ -64,9 +64,9 @@ class AdmissibleFamily:
         return self._conjugate
 
 
-def default_family(max_order: int = 8) -> AdmissibleFamily:
-    """q(x, y) = e^{2i pi (y-x)} - 1 with diagonal Taylor data."""
-    coeffs = np.array([0.0] + [(2j * np.pi) ** k / math.factorial(k) for k in range(1, max_order + 1)])
+def default_family() -> AdmissibleFamily:
+    """q(x, y) = e^{2i pi (y-x)} - 1 with diagonal Taylor data to order 8."""
+    coeffs = np.array([0.0] + [(2j * np.pi) ** k / math.factorial(k) for k in range(1, 9)])
     return AdmissibleFamily(
         q=lambda x, y: np.exp(2j * np.pi * (y - x)) - 1.0,
         diag_taylor=coeffs,
@@ -300,13 +300,6 @@ def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
     return np.einsum(_COUPLING, q_pow, dual_in.conj(), basis_out, model.w, optimize=path)
 
 
-def _row_blocks(n_rows: int, row_bytes: int, block_bytes: int) -> list:
-    """Consecutive slices of range(n_rows), each at most block_bytes (and at
-    least one row) long."""
-    step = max(1, block_bytes // row_bytes)
-    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-
-
 def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: AdmissibleFamily,
            basis: Callable, dual: Callable, label: str) -> list[Symbol]:
     """Delta^alpha against a (basis b, dual basis d, family q) triple, given
@@ -334,10 +327,11 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     for i, in_margin in enumerate(margins):
         if out[i] is None:
             windows.setdefault(in_margin, []).append(i)
-    n_lanes = lanes()
+    n_lanes = threads.lanes()
     # a lane whose BLAS runs several threads (at most the thread cap) takes a
     # block as large per thread: a few rows are too small a product for them
-    block_bytes = BLOCK_BYTES * min(blas_threads(), setting() or usable_cores())
+    block_bytes = BLOCK_BYTES * min(threads.blas_threads(),
+                                    threads.setting() or threads.usable_cores())
 
     for in_margin, members in windows.items():
         out_margin = in_margin - alpha
@@ -358,7 +352,7 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
                                 path).transpose(1, 2, 0)
             return [np.einsum("gex,ex->gx", C, w) for w in weighted]
 
-        blocks = _row_blocks(len(B_out), model.Q * len(D_in) * 16, block_bytes)
+        blocks = threads.blocks(len(B_out), model.Q * len(D_in) * 16, block_bytes)
         if n_lanes == 1 or len(blocks) == 1:
             parts = [contract(rows) for rows in blocks]
         else:
@@ -415,11 +409,10 @@ def apply_Delta_star(model: ModelProblem, sym: Symbol, alpha: int,
 
 
 def seminorm(model: ModelProblem, sym: Symbol, l: float, alpha: int, beta: int,
-             rho: float, delta: float,
-             family: AdmissibleFamily = DEFAULT_FAMILY) -> float:
+             rho: float, delta: float) -> float:
     """Class seminorm sup_{x, xi} |Delta^a D^(b) a(x, xi)| <xi>^(-l + rho a - delta b)."""
-    work = apply_D(model, sym, beta, family)
-    work = apply_Delta(model, work, alpha, family)
+    work = apply_D(model, sym, beta)
+    work = apply_Delta(model, work, alpha)
     tab = work.table(model, 0)
     weights = model.bracket_val(model.indices) ** (-l + rho * alpha - delta * beta)
     return float(np.max(np.abs(tab) * weights[:, None]))
@@ -433,15 +426,13 @@ class SeminormReport:
     fitted_order: float
 
 
-def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float,
-                   family: AdmissibleFamily = DEFAULT_FAMILY,
-                   max_alpha: int = 2, max_beta: int = 2) -> SeminormReport:
+def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float) -> SeminormReport:
     """Estimate the symbol order from the decay of difference profiles.
 
-    For each pair (alpha, beta) the profile sup_x |Delta^a D^(b) a(x, xi)|
-    is least-squares fitted to a power of <xi>; the pair then certifies the
-    order (slope + rho*alpha - delta*beta).  The symbol order is the max
-    over pairs: a profile may decay faster than its class bound (that only
+    For each pair (alpha, beta) with alpha, beta <= 2 the profile
+    sup_x |Delta^a D^(b) a(x, xi)| is least-squares fitted to a power of
+    <xi>; the pair then certifies the order (slope + rho*alpha - delta*beta).
+    The symbol order is the max over pairs: a profile may decay faster than its class bound (that only
     certifies a smaller class), so averaging across pairs would be wrong.
     Identically negligible profiles carry no information and are skipped.
     """
@@ -455,9 +446,9 @@ def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float,
         raise ConfigurationError(f"order fit needs two distinct <xi> off xi = 0; N={N} has fewer")
 
     implied, values = [], {}
-    d_beta = [apply_D(model, sym, beta, family) for beta in range(max_beta + 1)]
-    for alpha in range(max_alpha + 1):
-        for beta, work in enumerate(apply_Delta_many(model, d_beta, alpha, family)):
+    d_beta = [apply_D(model, sym, beta) for beta in range(3)]
+    for alpha in range(3):
+        for beta, work in enumerate(apply_Delta_many(model, d_beta, alpha)):
             profile = np.max(np.abs(work.table(model, 0)), axis=1)
             values[(alpha, beta)] = float(
                 np.max(profile * model.bracket_val(model.indices)

@@ -79,6 +79,18 @@ def lanes() -> int:
     return max(1, (setting() or usable_cores()) // blas_threads())
 
 
+def blocks(n_rows: int, row_bytes: int, block_bytes: int) -> list:
+    """Consecutive slices of range(n_rows), each at most block_bytes (and at
+    least one row) long: the units of work the lanes share.
+
+    Each caller keeps its own policy for sharing them out: Delta^alpha's
+    blocks are all handed out at once, the contour's one round ahead, so
+    that each is added in node order and dropped.  Under the contour's
+    policy one apply_Delta at N = 32 on 2 lanes was about 7% slower."""
+    step = max(1, block_bytes // row_bytes)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 def record() -> dict:
     """The lanes and the raw thread variables, for run records."""
     return {"lanes": lanes(), **{var: os.environ.get(var) for var in (VARIABLE, *BLAS_VARIABLES)}}

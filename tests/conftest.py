@@ -45,3 +45,12 @@ def geometric_star_coefficient(h: float, Q: int, xi: int) -> complex:
     """
     r = h ** (2.0 / Q) * np.exp(-2j * np.pi * xi / Q)
     return (h**2 - 1.0) / (Q * (r - 1.0))
+
+
+def use_lanes(monkeypatch, n):
+    """Set n lanes of one BLAS thread each, whatever the test run's BLAS variables."""
+    from nonharmonic.threads import lanes
+
+    monkeypatch.setenv("NONHARMONIC_THREADS", str(n))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert lanes() == n

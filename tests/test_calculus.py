@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import use_lanes
 from nonharmonic.calculus import (Contour, EllipticityCertificate, certify_parameter_ellipticity,
                                   dunford_riesz, dunford_riesz_many, fractional_power_symbol,
                                   make_scalar_function, negative_real_ray, parametrix,
@@ -10,7 +11,6 @@ from nonharmonic.errors import (BranchCutError, ConfigurationError, EllipticityE
 from nonharmonic.model import ModelSpec, build_model
 from nonharmonic.quantize import composition_oracle, galerkin_matrix, symbol_of_matrix
 from nonharmonic.symbols import Symbol, make_symbol
-from test_symbols import use_lanes
 
 
 # ---------------------------------------------------------------------------

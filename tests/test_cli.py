@@ -167,7 +167,7 @@ def test_thread_cap_set_before_numpy_loads():
         "import os, sys",
         "import nonharmonic.cli as cli",
         "assert 'numpy' not in sys.modules",
-        "cli._setup_threads()",
+        "cli.threads.cap_blas()",
         "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'",
         "assert 'numpy' not in sys.modules",
     ])
@@ -335,6 +335,46 @@ def test_report_empty_and_all_corrupt(tmp_path):
     corrupt.write_text("nope\nalso nope\n")
     assert report(str(corrupt), out_path=str(dest)) == 1
     assert report(str(tmp_path / "missing.jsonl")) == 2
+
+
+@pytest.mark.parametrize("case", ["registry_is_a_directory", "registry_not_utf8",
+                                  "out_in_missing_directory"])
+def test_report_on_unusable_paths_exits_2_with_one_line(tmp_path, case):
+    registry = tmp_path / "registry.jsonl"
+    registry.write_text("")
+    out = tmp_path / "report.csv"
+    if case == "registry_is_a_directory":
+        registry = tmp_path
+    elif case == "registry_not_utf8":
+        registry.write_bytes(b"\xff\xfe{}\n")
+    else:
+        out = tmp_path / "missing" / "report.csv"
+    proc = subprocess.run([sys.executable, "-m", "nonharmonic", "report", "--registry",
+                           str(registry), "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: invalid config:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_run_into_unusable_out_dir_exits_2_before_the_model_is_built(tmp_path, capsys,
+                                                                    monkeypatch):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check"})
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    import nonharmonic.model
+
+    def no_build(spec):
+        raise AssertionError("model built before the output directory was checked")
+
+    monkeypatch.setattr(nonharmonic.model, "build_model", no_build)
+    assert cli.main(["run", "--config", cfg, "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: output directory")
+    assert len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "kept\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import use_lanes
 from nonharmonic.errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
 from nonharmonic.model import ModelProblem, ModelSpec, build_model
 from nonharmonic.symbols import (DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE, DEFAULT_MARGIN,
@@ -393,7 +394,7 @@ def test_apply_Delta_many_builds_one_tensor_per_window_and_keeps_none(torus, ten
 
 def test_estimate_order_builds_one_tensor_per_alpha(tensor_builds):
     m = build_model(ModelSpec(kind="torus_derivative", N=8, Q=64))
-    estimate_order(m, make_symbol("x_modulated_bracket", power=1.0), 1.0, 0.0, max_alpha=2)
+    estimate_order(m, make_symbol("x_modulated_bracket", power=1.0), 1.0, 0.0)
     assert len(tensor_builds) == 2
     assert all(ref() is None for ref in tensor_builds)
 
@@ -512,15 +513,6 @@ def live_blocks(monkeypatch):
 
     monkeypatch.setattr(symbols, "coupling_tensor", counted)
     return refs
-
-
-def use_lanes(monkeypatch, n):
-    """Set n lanes of one BLAS thread each, whatever the test run's BLAS variables."""
-    from nonharmonic.threads import lanes
-
-    monkeypatch.setenv("NONHARMONIC_THREADS", str(n))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert lanes() == n
 
 
 BLOCKED_OPS = {"Delta": apply_Delta, "Delta~": apply_Delta_star}
