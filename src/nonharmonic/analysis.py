@@ -71,7 +71,7 @@ def garding_estimate(model: ModelProblem, a: Symbol, m: float, trials: int = 200
     # trial-invariant rows: a(., xi) u_xi, which c contracts into Au as the
     # einsum of `op_apply_coeff` does, and conj(u_xi) w of the starred pairing
     tab_u = tab * model.u
-    star = model.u.conj() * model.w
+    star = model.conj_u * model.w
     for t in range(trials):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c /= np.linalg.norm(c)

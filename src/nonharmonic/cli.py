@@ -595,8 +595,16 @@ def _run(config_path: str, out_dir, seed) -> int:
     out = Path(out_dir or config.get("out_dir", "runs"))
     try:
         out.mkdir(parents=True, exist_ok=True)
+        # the run's record is written last: a path that cannot take it fails before the work
+        for name in ("summary.json", "registry.jsonl"):
+            path = out / name
+            fresh = not path.exists()
+            open(path, "a", encoding="utf-8").close()
+            if fresh:
+                path.unlink()
     except OSError as exc:
-        raise ConfigurationError(f"output directory {out} cannot be made: {exc}") from exc
+        raise ConfigurationError(
+            f"output directory {out} cannot be made or written: {exc}") from exc
     model = build_model(spec)
     task = config["task"]
     passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
@@ -646,8 +654,7 @@ def report(registry_path: str, out_path: str = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         return _failure(ConfigurationError(f"registry {registry_path} cannot be read: {exc}"))
     if total > 0 and corrupt == total:
-        print("error: every registry entry is corrupt", file=sys.stderr)
-        return 1
+        return _failure(ConfigurationError(f"every entry of registry {registry_path} is corrupt"))
     out = sys.stdout
     if out_path:
         try:

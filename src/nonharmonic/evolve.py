@@ -15,6 +15,7 @@ backward Euler (order 1), and Picard iteration of the integral equation
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,8 +72,21 @@ class Trajectory:
     picard_iterations: int = 0
 
 
+_NORM_SUBSCRIPTS = "ki,ij,kj->k"
+
+
+@lru_cache(maxsize=32)
+def _norm_path(coeffs_shape: tuple, gram_shape: tuple) -> tuple:
+    """The contraction path `optimize=True` finds for `_norms_of`; it depends
+    on the shapes alone, so it is searched once per pair of shapes, on
+    zero-stride stand-ins that allocate nothing."""
+    c, g = (np.broadcast_to(0j, shape) for shape in (coeffs_shape, gram_shape))
+    return tuple(np.einsum_path(_NORM_SUBSCRIPTS, c, g, c, optimize=True)[0])
+
+
 def _norms_of(coeffs: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    vals = np.einsum("ki,ij,kj->k", coeffs.conj(), gram, coeffs, optimize=True)
+    vals = np.einsum(_NORM_SUBSCRIPTS, coeffs.conj(), gram, coeffs,
+                     optimize=_norm_path(coeffs.shape, gram.shape))
     return np.sqrt(np.maximum(vals.real, 0.0))
 
 

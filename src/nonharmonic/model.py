@@ -144,9 +144,23 @@ class ModelProblem:
         return {}
 
     @cached_property
+    def conj_u(self) -> np.ndarray:
+        """conj(u), which the starred transform pairs against; read-only."""
+        cu = self.u.conj()
+        cu.flags.writeable = False
+        return cu
+
+    @cached_property
+    def conj_v(self) -> np.ndarray:
+        """conj(v), which the forward transform pairs against; read-only."""
+        cv = self.v.conj()
+        cv.flags.writeable = False
+        return cv
+
+    @cached_property
     def weighted_dual(self) -> np.ndarray:
         """w * conj(v): the left factor of every Galerkin matrix; read-only."""
-        wd = self.w * self.v.conj()
+        wd = self.w * self.conj_v
         wd.flags.writeable = False
         return wd
 
@@ -251,7 +265,7 @@ def build_model(spec: ModelSpec, check: bool = True) -> ModelProblem:
 
 def biorthogonality_row_deviations(model: ModelProblem) -> np.ndarray:
     """Per xi, the max over eta of |quad(u_xi * conj(v_eta)) - delta_{xi,eta}|."""
-    gram = (model.u * model.w) @ model.v.conj().T
+    gram = (model.u * model.w) @ model.conj_v.T
     return np.max(np.abs(gram - np.eye(len(model.indices))), axis=1)
 
 

@@ -91,7 +91,7 @@ def symbol_of_matrix(model: ModelProblem, M: np.ndarray, order: float = 0.0,
 def kernel(model: ModelProblem, sym: Symbol) -> KernelTable:
     """Schwartz kernel K(x, y) = sum_xi u_xi(x) a(x, xi) conj(v_xi(y))."""
     tab = sym.table(model, 0)
-    K = np.einsum("kx,kx,ky->xy", model.u, tab, model.v.conj(), optimize=True)
+    K = np.einsum("kx,kx,ky->xy", model.u, tab, model.conj_v, optimize=True)
     return KernelTable(values=K)
 
 
@@ -116,7 +116,37 @@ def galerkin_matrix(model: ModelProblem, sym: Symbol) -> GalerkinMatrix:
 
 def check_solvable(A: np.ndarray, what: str):
     """Raise unless A is safely invertible: s_min >= 1e-12 * max(1, s_max).
-    Unlike a condition number, this also trips on a matrix that is all roundoff."""
+    Unlike a condition number, this also trips on a matrix that is all roundoff.
+    A non-finite entry raises at once.
+
+    Before the SVD, a closed-form certificate tries to pass A.  With R_i and
+    C_i the absolute row and column sums of A (diagonal included), d_i = |a_ii|
+    and n the order of A, Johnson's bound (C. R. Johnson, Linear Algebra Appl.
+    112, 1989) gives
+
+        L = min_i (d_i - (R_i - d_i + C_i - d_i) / 2) <= s_min,
+        U = sqrt(||A||_1 ||A||_inf) >= s_max,
+
+    and A passes when L - slack >= 1e-12 * max(1, U).  The slack is
+
+        slack = 2 (n + 4) eps (||A||_1 + ||A||_inf).
+
+    It covers two errors.  Rounding the sums and L costs at most
+    (n + 4) eps (R_i + C_i), since each |a_ij| carries ~1 ulp and each sum
+    n - 1 additions.  The SVD's backward error, taken as n eps s_max, moves
+    the computed s_min by at most n eps (||A||_1 + ||A||_inf) / 2.  So a matrix the
+    certificate passes is passed by the SVD rule too, and the guard trips
+    wherever the SVD alone tripped.  Otherwise the SVD rule decides."""
+    if not np.isfinite(A).all():
+        raise SpectrumProximityError(f"{what} has non-finite entries")
+    mag = np.abs(A)
+    diag = np.diagonal(mag)
+    rows, cols = mag.sum(axis=1), mag.sum(axis=0)
+    norm_inf, norm_1 = float(rows.max()), float(cols.max())
+    lower = float(np.min(2.0 * diag - 0.5 * (rows + cols)))
+    slack = 2.0 * (len(diag) + 4) * float(np.finfo(float).eps) * (norm_1 + norm_inf)
+    if lower - slack >= 1e-12 * max(1.0, math.sqrt(norm_1 * norm_inf)):
+        return
     s = np.linalg.svd(A, compute_uv=False)
     if not s[-1] >= 1e-12 * max(1.0, s[0]):
         raise SpectrumProximityError(f"{what} has singular values {s[0]:.3e} down to {s[-1]:.3e}")

@@ -58,13 +58,13 @@ def _check_tag(c: CoeffVector, tag: str):
 def fourier(model: ModelProblem, f: np.ndarray) -> CoeffVector:
     """Forward transform: c(xi) = quad(f * conj(v_xi))."""
     f = _check_grid(model, f)
-    return CoeffVector(model.v.conj() @ (model.w * f), tag="L")
+    return CoeffVector(model.conj_v @ (model.w * f), tag="L")
 
 
 def fourier_star(model: ModelProblem, f: np.ndarray) -> CoeffVector:
     """Starred transform: c(xi) = quad(f * conj(u_xi))."""
     f = _check_grid(model, f)
-    return CoeffVector(model.u.conj() @ (model.w * f), tag="L*")
+    return CoeffVector(model.conj_u @ (model.w * f), tag="L*")
 
 
 def inverse(model: ModelProblem, c: CoeffVector) -> np.ndarray:
@@ -132,4 +132,4 @@ def coefficient_gram(model: ModelProblem) -> np.ndarray:
     The quadrature L2 norm of f = sum c(xi) u_xi is (c^H G c)^(1/2); G is
     the identity for the self-adjoint torus kinds.
     """
-    return (model.u.conj() * model.w) @ model.u.T
+    return (model.conj_u * model.w) @ model.u.T

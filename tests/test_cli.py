@@ -333,7 +333,7 @@ def test_report_empty_and_all_corrupt(tmp_path):
 
     corrupt = tmp_path / "corrupt.jsonl"
     corrupt.write_text("nope\nalso nope\n")
-    assert report(str(corrupt), out_path=str(dest)) == 1
+    assert report(str(corrupt), out_path=str(dest)) == 2
     assert report(str(tmp_path / "missing.jsonl")) == 2
 
 
@@ -375,6 +375,38 @@ def test_run_into_unusable_out_dir_exits_2_before_the_model_is_built(tmp_path, c
     assert err.startswith("error: invalid config: output directory")
     assert len(err.splitlines()) == 1
     assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("record", ["summary.json", "registry.jsonl"])
+def test_unwritable_run_record_exits_2_before_the_model_is_built(tmp_path, capsys, monkeypatch,
+                                                                 record):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check"})
+    out = tmp_path / "out"
+    (out / record).mkdir(parents=True)
+    import nonharmonic.model
+
+    def no_build(spec):
+        raise AssertionError("model built before the run record was checked")
+
+    monkeypatch.setattr(nonharmonic.model, "build_model", no_build)
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: output directory")
+    assert record in err and len(err.splitlines()) == 1
+    assert [p.name for p in out.iterdir()] == [record]
+
+
+def test_run_record_check_leaves_no_file_behind(tmp_path):
+    # a run that trips a guard after the check adds no summary and keeps the registry
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "parametrix",
+                                  "params": {"symbol": {"name": "constant", "value": 0.0},
+                                             "order": 2.0}})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "registry.jsonl").write_text("kept\n")
+    assert run(cfg, out_dir=str(out)) == 3
+    assert [p.name for p in out.iterdir()] == ["registry.jsonl"]
+    assert (out / "registry.jsonl").read_text() == "kept\n"
 
 
 def test_console_entry_point(tmp_path):

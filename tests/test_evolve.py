@@ -196,9 +196,10 @@ def test_constant_generator_matches_per_step_reference(models, model_name, schem
 
 
 def test_condition_guard_runs_once_per_galerkin_array(torus, monkeypatch):
+    import nonharmonic.evolve as evolve
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: calls.append(1) or svd(A, **kw))
+    guard = evolve.check_solvable
+    monkeypatch.setattr(evolve, "check_solvable", lambda A, what: calls.append(1) or guard(A, what))
     gen = neg_laplace_symbol()
     for scheme in ("crank_nicolson", "backward_euler"):
         calls.clear()
@@ -278,3 +279,38 @@ def test_residual_builds_no_generator_and_keeps_its_bits(models, model_name, sch
     res = residual(model, prob, traj)
     assert built == []
     assert np.array_equal(res, rebuilt_residual(model, prob, traj))
+
+
+def test_twisted_backward_euler_certifies_every_step_without_an_svd(monkeypatch):
+    # the benchmark's time-dependent problem: a fresh generator, so a fresh guard, every step
+    import nonharmonic.evolve as evolve
+    model = build_model(ModelSpec(kind="h_derivative", N=32, Q=256, h=2.0))
+    guards, svds = [], []
+    guard, svd = evolve.check_solvable, np.linalg.svd
+    monkeypatch.setattr(evolve, "check_solvable",
+                        lambda A, what: guards.append(1) or guard(A, what))
+    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(1) or svd(A, **kw))
+
+    def generator(t):
+        scale = 1.0 + 5.0 * t
+        return Symbol(fn=lambda x, xi, lam, br: -scale * (1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+                      * br**2 + 0.0j, order=2.0, name=f"K({t:g})")
+
+    u2 = model.u_row(2)
+    solve_ivp(model, EvolutionProblem(symbol_factory=generator, u0=model.u_row(1), T=0.1,
+                                      steps=200, scheme="backward_euler",
+                                      forcing=lambda t: np.cos(t) * u2, order_m=2.0))
+    assert len(guards) == 200
+    assert len(svds) == 0
+
+
+@pytest.mark.parametrize("model_name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
+def test_norms_of_equals_the_searched_path(models, model_name):
+    model = models[model_name]
+    gram = coefficient_gram(model)
+    rng = np.random.default_rng(5)
+    n = len(model.indices)
+    for rows in (1, 201):
+        c = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        vals = np.einsum("ki,ij,kj->k", c.conj(), gram, c, optimize=True)
+        assert np.array_equal(_norms_of(c, gram), np.sqrt(np.maximum(vals.real, 0.0)))

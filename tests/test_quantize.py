@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nonharmonic.errors import WindowExhaustedError, WZViolationError
+from nonharmonic.errors import SpectrumProximityError, WindowExhaustedError, WZViolationError
 from nonharmonic.model import ModelSpec, build_model
-from nonharmonic.quantize import (adjoint_oracle, adjoint_symbol, band_limited,
+from nonharmonic.quantize import (adjoint_oracle, adjoint_symbol, band_limited, check_solvable,
                                   compose_symbols, composition_oracle,
                                   extract_symbol, galerkin_matrix, inner_window, kernel,
                                   kernel_apply, op_apply, symbol_of_matrix)
@@ -247,3 +247,59 @@ def test_galerkin_spectrum_cached_read_only(torus):
     spec = G.eigenvalues
     assert G.eigenvalues is spec and not spec.flags.writeable
     np.testing.assert_array_equal(spec, np.linalg.eigvals(G.matrix))
+
+
+def _solvability_cases(rng):
+    """Matrices on both sides of s_min = 1e-12 s_max, n from 5 to 65: random
+    U diag(s) V^H, diagonally dominant ones, and diagonal ones at the threshold."""
+    def unitary(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    for n in (5, 9, 17, 33, 65):
+        for s_max in (1e-3, 1.0, 1e3):
+            for ratio in (1e-6, 1.01e-12, 1e-12, 0.99e-12, 1e-15):
+                s = np.geomspace(s_max, ratio * s_max, n)
+                yield (unitary(n) * s) @ unitary(n).conj().T
+                yield np.diag(s * np.exp(2j * np.pi * rng.random(n)))
+            for spread in (0.2, 0.9, 0.999, 1.1):
+                d = s_max * (1.0 + rng.random(n))
+                E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                np.fill_diagonal(E, 0.0)
+                E *= spread * np.min(d) / max(np.abs(E).sum(axis=0).max(),
+                                              np.abs(E).sum(axis=1).max())
+                yield np.diag(d) + E
+        # the time-step shape: I + c M with M large and dominated by its diagonal
+        yield np.eye(n) + 1e3 * np.diag(np.arange(1.0, n + 1)) + 10.0 * rng.standard_normal((n, n))
+
+
+def test_solvability_certificate_passes_only_what_the_svd_rule_passes(monkeypatch):
+    svd = np.linalg.svd
+    svds = []
+    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(1) or svd(A, **kw))
+    certified = tripped = total = 0
+    for A in _solvability_cases(np.random.default_rng(3)):
+        total += 1
+        s = svd(A, compute_uv=False)
+        svd_passes = bool(s[-1] >= 1e-12 * max(1.0, s[0]))
+        svds.clear()
+        try:
+            check_solvable(A, "case")
+            passed = True
+        except SpectrumProximityError:
+            passed = False
+        assert passed == svd_passes
+        if not svds:
+            certified += 1
+            assert svd_passes
+        tripped += not passed
+    assert certified >= total // 3 and tripped >= total // 6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
+def test_check_solvable_rejects_non_finite_entries(monkeypatch, bad):
+    A = np.eye(6, dtype=complex)
+    A[2, 4] = bad
+    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: pytest.fail("SVD of a non-finite matrix"))
+    with pytest.raises(SpectrumProximityError, match="non-finite"):
+        check_solvable(A, "system")

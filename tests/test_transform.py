@@ -170,3 +170,15 @@ def test_frame_bounds_two_sided(hmodel, torus):
         if m is torus:
             assert lo == pytest.approx(1.0, abs=1e-12)
             assert hi == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model_name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
+def test_transforms_read_cached_conjugate_bases(models, model_name):
+    model = models[model_name]
+    f = np.random.default_rng(9).standard_normal(model.Q) + 0.5j
+    assert np.array_equal(fourier(model, f).values, model.v.conj() @ (model.w * f))
+    assert np.array_equal(fourier_star(model, f).values, model.u.conj() @ (model.w * f))
+    assert np.array_equal(coefficient_gram(model), (model.u.conj() * model.w) @ model.u.T)
+    for name in ("conj_u", "conj_v"):
+        cached = getattr(model, name)
+        assert getattr(model, name) is cached and not cached.flags.writeable
