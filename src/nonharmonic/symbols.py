@@ -281,23 +281,83 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int,
 #: the coupling tensor as an einsum over (q^alpha, conj(dual_in), basis_out, w)
 _COUPLING = "xy,ey,gy,y->xge"
 
-#: bytes of one block of the coupling tensor per BLAS thread: every window at
-#: N <= 16 (Q = 8N) is one block, a window at N = 32 is five or six at one BLAS
-#: thread, and memory stays bounded as N grows
+#: bytes of the coupling-tensor blocks alive at once, over all lanes, per BLAS
+#: thread: every window at N <= 16 (Q = 8N) is one block, a window at N = 32
+#: is five or six at one lane, and memory stays bounded as N grows
 BLOCK_BYTES = 4 << 20
 
 
 def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
-                    basis_out: np.ndarray, dual_in: np.ndarray, q_pow: np.ndarray,
-                    path: list) -> np.ndarray:
-    """C[x, xi, eta] = quad_y(q^alpha(x, y) conj(dual_eta(y)) basis_xi(y)) for
-    the rows xi of basis_out and eta of dual_in, given `q_pow`, the family's
-    q^alpha on the grid, and einsum's contraction `path`.  `family` and
-    `alpha` name the tensor for the traces and tests that wrap this builder.
+                    basis_w: np.ndarray, dual_conj: np.ndarray, q_pow: np.ndarray,
+                    product: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """C[xi, eta, x] = quad_y(q^alpha(x, y) conj(dual_eta(y)) basis_xi(y)),
+    built into `out` for the rows xi of `basis_w` = w·basis and eta of
+    `dual_conj` = conj(dual), given `q_pow`, the family's q^alpha on the
+    grid.  `product` is scratch; it and `out` are (xi, eta, Q) arrays the
+    caller owns.  `family` and `alpha` name the tensor for the traces and
+    tests that wrap this builder.
 
-    The array is indexed (x, xi, eta) but laid out with x as the fastest
-    axis; `_delta` contracts its (xi, eta, x) view, which is contiguous."""
-    return np.einsum(_COUPLING, q_pow, dual_in.conj(), basis_out, model.w, optimize=path)
+    The steps are those einsum takes for _COUPLING along the path its
+    optimizer picks for every window with Q >= 32: w·basis (the caller's),
+    the product with conj(dual), then one BLAS product against q^alpha,
+    each with einsum's operands in einsum's order, so C has its bits.
+    (Below Q = 32 the optimizer may pick another path, whose bits may
+    differ in the last place.)"""
+    np.multiply(basis_w[:, None, :], dual_conj[None, :, :], out=product)
+    np.matmul(product.reshape(-1, model.Q), q_pow.T, out=out.reshape(-1, model.Q))
+    return out
+
+
+def _coupled_rows(model: ModelProblem, family: AdmissibleFamily, alpha: int,
+                  B_out: np.ndarray, D_in: np.ndarray, weighted: list) -> list:
+    """sum_eta C[xi, eta, x] weighted[eta, x] over the rows xi of B_out,
+    for each array of `weighted`, with C the coupling tensor of B_out and
+    D_in.  C is built and contracted in blocks of rows xi: the whole window
+    if it fits in the budget of BLOCK_BYTES per BLAS thread, else blocks of
+    the budget over the `threads.lanes()` lanes, which work through them
+    side by side, lane k taking every lanes-th block from the k-th.  The
+    calling thread allocates every array a block needs, one set per lane
+    reused over its blocks, and the rows each block contracts into, so no
+    lane allocates and the blocks alive at once stay within the budget."""
+    n_lanes = threads.lanes()
+    # a lane whose BLAS runs several threads (at most the thread cap) takes a
+    # block as large per thread: a few rows are too small a product for them
+    budget = BLOCK_BYTES * min(threads.blas_threads(),
+                               threads.setting() or threads.usable_cores())
+    Q, n_out, n_in = model.Q, len(B_out), len(D_in)
+    row_bytes = Q * n_in * 16
+    if n_out * row_bytes > budget:
+        budget //= n_lanes
+    blocks = threads.blocks(n_out, row_bytes, budget)
+    n_lanes = min(n_lanes, len(blocks))
+    shape = (blocks[0].stop, n_in, Q)  # the first block is a longest one
+    buffers = [(np.empty(shape, complex), np.empty(shape, complex)) for _ in range(n_lanes)]
+    B_w = np.multiply(model.w, B_out)
+    D_conj = np.conj(D_in)
+    q_pow = family.power_xy(model.x, model.x, alpha)
+    summed = [np.empty((n_out, Q), complex) for _ in weighted]
+
+    def lane(k):
+        product, tensor = buffers[k]
+        for rows in blocks[k::n_lanes]:
+            n = rows.stop - rows.start
+            C = coupling_tensor(model, family, alpha, B_w[rows], D_conj, q_pow,
+                                product[:n], tensor[:n])
+            for w, s in zip(weighted, summed):
+                np.einsum("gex,ex->gx", C, w, out=s[rows])
+
+    if n_lanes == 1:
+        lane(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # a few ms to load: only here
+
+        with ThreadPoolExecutor(n_lanes - 1) as pool:
+            # the calling thread is lane 0, which saves a helper
+            helped = [pool.submit(lane, k) for k in range(1, n_lanes)]
+            lane(0)
+            for future in helped:
+                future.result()
+    return summed
 
 
 def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: AdmissibleFamily,
@@ -310,13 +370,13 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     token, family).  The coupling tensor depends on the window but not on
     the symbol, so it serves every symbol that misses the cache over the
     same input margin.  It is built and contracted in blocks of output rows
-    xi of at most BLOCK_BYTES per BLAS thread, which `threads.lanes()` lanes
-    work through side by side, one block each at a time; each block is
-    dropped once contracted, and none is kept.
-    Every block takes the whole window's q^alpha and contraction path, so
-    it is built by the same operations, in the same order, as those rows
-    of the whole tensor; the rows are put back in order.  That the BLAS
-    product then gives each row the same bits is pinned by the tests."""
+    xi (`_coupled_rows`): all lanes' blocks together take at most
+    BLOCK_BYTES per BLAS thread, in arrays the calling thread owns, and
+    none is kept.  Every block is built from the whole window's w·b,
+    conj(d) and q^alpha by the same operations, in the same order, as
+    those rows of the whole tensor, and contracted into its own rows of the
+    result.  That the BLAS product then gives each row the same bits is
+    pinned by the tests."""
     if alpha == 0:
         return list(syms)
     # every window is checked before any cache hit is taken
@@ -327,52 +387,19 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     for i, in_margin in enumerate(margins):
         if out[i] is None:
             windows.setdefault(in_margin, []).append(i)
-    n_lanes = threads.lanes()
-    # a lane whose BLAS runs several threads (at most the thread cap) takes a
-    # block as large per thread: a few rows are too small a product for them
-    block_bytes = BLOCK_BYTES * min(threads.blas_threads(),
-                                    threads.setting() or threads.usable_cores())
 
     for in_margin, members in windows.items():
         out_margin = in_margin - alpha
         in_off = model.N + in_margin
         out_off = model.N + out_margin
         B_out = basis(-out_off, out_off)                # (2*out_off+1, Q)
-        D_in = dual(-in_off, in_off)                    # (2*in_off+1, Q)
-        q_pow = family.power_xy(model.x, model.x, alpha)
-        # the path einsum picks for the whole window, kept for each of its
-        # blocks: the optimizer may pick another one for fewer rows
-        path = np.einsum_path(_COUPLING, q_pow, D_in, B_out, model.w, optimize=True)[0]
         B_in = basis(-in_off, in_off)
         weighted = [B_in * syms[i].table(model, in_margin) for i in members]
-
-        def contract(rows):
-            # (rows, 2*in_off+1, Q) view of the (Q, xi, eta) block
-            C = coupling_tensor(model, family, alpha, B_out[rows], D_in, q_pow,
-                                path).transpose(1, 2, 0)
-            return [np.einsum("gex,ex->gx", C, w) for w in weighted]
-
-        blocks = threads.blocks(len(B_out), model.Q * len(D_in) * 16, block_bytes)
-        if n_lanes == 1 or len(blocks) == 1:
-            parts = [contract(rows) for rows in blocks]
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # a few ms to load: only here
-
-            parts = [None] * len(blocks)
-            with ThreadPoolExecutor(n_lanes - 1) as pool:
-                # the calling thread is a lane too and takes every n_lanes-th block,
-                # which saves a helper and the malloc arena its allocations would grow
-                helped = {b: pool.submit(contract, rows) for b, rows in enumerate(blocks)
-                          if b % n_lanes}
-                for b in range(0, len(blocks), n_lanes):
-                    parts[b] = contract(blocks[b])
-                for b, future in helped.items():
-                    parts[b] = future.result()
-        for j, i in enumerate(members):
+        summed = _coupled_rows(model, family, alpha, B_out, dual(-in_off, in_off), weighted)
+        for i, s in zip(members, summed):
             sym = syms[i]
-            summed = np.concatenate([part[j] for part in parts])
             out[i] = sym.keep(key, Symbol.from_table(
-                model, summed / B_out, out_margin, order=sym.order - sym.rho * alpha,
+                model, np.divide(s, B_out, out=s), out_margin, order=sym.order - sym.rho * alpha,
                 rho=sym.rho, delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]"))
     return out
 
@@ -393,7 +420,7 @@ def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int,
                 family: AdmissibleFamily = DEFAULT_FAMILY) -> Symbol:
     """Difference operator Delta^alpha through the coupling-tensor route:
 
-        Delta^a a(x, xi) = u_xi(x)^-1 sum_eta u_eta(x) a(x, eta) C[x, xi, eta].
+        Delta^a a(x, xi) = u_xi(x)^-1 sum_eta u_eta(x) a(x, eta) C[xi, eta, x].
 
     For the built-in models with the default family this equals the forward
     difference iterated alpha times, which tests exploit as an oracle.

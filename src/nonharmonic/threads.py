@@ -83,10 +83,13 @@ def blocks(n_rows: int, row_bytes: int, block_bytes: int) -> list:
     """Consecutive slices of range(n_rows), each at most block_bytes (and at
     least one row) long: the units of work the lanes share.
 
-    Each caller keeps its own policy for sharing them out: Delta^alpha's
-    blocks are all handed out at once, the contour's one round ahead, so
-    that each is added in node order and dropped.  Under the contour's
-    policy one apply_Delta at N = 32 on 2 lanes was about 7% slower."""
+    Each caller keeps its own policy for sharing them out.  Delta^alpha's
+    lanes share one budget: a window larger than block_bytes is cut into
+    blocks of block_bytes / lanes, each lane works through every lanes-th
+    block, and the calling thread allocates every array a block needs, one
+    set per lane.  The contour hands its blocks out one round ahead, so that
+    each is added in node order and dropped.  Under the contour's policy one
+    apply_Delta at N = 32 on 2 lanes was about 7% slower."""
     step = max(1, block_bytes // row_bytes)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 

@@ -287,6 +287,29 @@ def test_funcalc_and_l2norm_tasks(tmp_path):
     assert run(cfg2, out_dir=str(tmp_path / "l")) == 0
 
 
+def test_funcalc_zero_function_is_checked_against_zero(tmp_path):
+    # the multiplier oracle is F(a(xi)), not a(xi) to the declared exponent (-1 for zero)
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "funcalc",
+                                  "params": {"symbol": {"name": "bracket_power", "power": 1.0},
+                                             "functions": ["zero"], "nodes_per_segment": 40}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] and summary["summary"]["zero"]["errors"] == [0.0, 0.0, 0.0]
+
+
+def test_l2norm_of_a_zero_symbol_grows_by_zero(tmp_path):
+    import warnings
+
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "l2norm",
+                                  "params": {"symbol": {"name": "constant", "value": 0.0}}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no 0/0
+        assert run(cfg, out_dir=str(tmp_path / "out")) == 0
+    text = (tmp_path / "out" / "summary.json").read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["summary"]["relative_growth_last_two"] == 0.0
+
+
 def test_garding_and_parametrix_tasks(tmp_path):
     cfg = write_config(tmp_path, {"model": {"kind": "torus_derivative", "N": 16, "Q": 128},
                                   "task": "garding", "seed": 5,

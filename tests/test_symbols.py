@@ -490,25 +490,37 @@ def test_cached_tables_are_read_only(hmodel):
             tab[0, 0] = 0.0
 
 
+class LiveBlocks(list):
+    """Weak references to the arrays that hold the coupling-tensor blocks
+    built, one per build, and the most bytes of them alive at once."""
+
+    peak_bytes = 0
+
+    def clear(self):
+        super().clear()
+        self.peak_bytes = 0
+
+
 @pytest.fixture
 def live_blocks(monkeypatch):
-    """Every coupling-tensor block built while the test runs, as weak
-    references; each build first checks that fewer than `lanes` blocks are
-    alive, so at most `lanes` ever are."""
+    """Every coupling-tensor block built while the test runs, as a
+    `LiveBlocks`; after each build it checks that at most `lanes` distinct
+    arrays hold the blocks alive, and adds up their bytes."""
     import threading
     import weakref
 
     import nonharmonic.symbols as symbols
     from nonharmonic.threads import lanes
 
-    build, refs, lock = symbols.coupling_tensor, [], threading.Lock()
+    build, refs, lock = symbols.coupling_tensor, LiveBlocks(), threading.Lock()
 
     def counted(*args, **kwargs):
-        with lock:
-            assert sum(ref() is not None for ref in refs) < lanes()
         C = build(*args, **kwargs)
         with lock:
             refs.append(weakref.ref(C if C.base is None else C.base))
+            alive = {id(a): a for a in (ref() for ref in refs) if a is not None}
+            assert len(alive) <= lanes()
+            refs.peak_bytes = max(refs.peak_bytes, sum(a.nbytes for a in alive.values()))
         return C
 
     monkeypatch.setattr(symbols, "coupling_tensor", counted)
@@ -538,23 +550,57 @@ def test_row_blocks_equal_one_block_bitwise(models, monkeypatch, live_blocks, na
             monkeypatch.setattr(symbols, "BLOCK_BYTES", rows * row_bytes)
             live_blocks.clear()
             got = op(m, make_symbol("x_modulated_bracket", power=1.0), alpha)
-            assert len(live_blocks) == -(-n_out // rows)
+            # a window of several blocks is cut into blocks of the budget over the lanes
+            assert len(live_blocks) == -(-n_out // max(1, rows // lanes))
             assert all(ref() is None for ref in live_blocks)
             assert np.array_equal(got.table(m, got.margin), whole.table(m, whole.margin))
 
 
-def test_row_blocks_serve_every_symbol_of_a_window(torus, monkeypatch, live_blocks):
+@pytest.mark.parametrize("lanes", [2, 4])  # 4: more lanes than the cores of a small host
+def test_row_blocks_serve_every_symbol_of_a_window(torus, monkeypatch, live_blocks, lanes):
+    import sys
+
     import nonharmonic.symbols as symbols
 
-    use_lanes(monkeypatch, 2)
+    use_lanes(monkeypatch, lanes)
     whole = apply_Delta_many(torus, mixed_margin_symbols(torus), 2)
     monkeypatch.setattr(symbols, "BLOCK_BYTES", 1)
     live_blocks.clear()
-    blocked = apply_Delta_many(torus, mixed_margin_symbols(torus), 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # lanes switch often while they write their rows
+    try:
+        blocked = apply_Delta_many(torus, mixed_margin_symbols(torus), 2)
+    finally:
+        sys.setswitchinterval(interval)
     # one block per output row of each window: margins 4 and 5 read out to 2 and 3
     assert len(live_blocks) == (2 * 18 + 1) + (2 * 19 + 1)
     for got, ref in zip(blocked, whole):
         assert np.array_equal(got.table(torus, got.margin), ref.table(torus, ref.margin))
+
+
+@pytest.mark.parametrize("op", BLOCKED_OPS.values(), ids=list(BLOCKED_OPS))
+def test_two_lanes_share_one_block_budget(models, monkeypatch, live_blocks, op):
+    import itertools
+    import threading
+
+    import nonharmonic.symbols as symbols
+
+    m = models["h_derivative_2"]
+    use_lanes(monkeypatch, 2)
+    row_bytes = m.Q * (2 * (m.N + DEFAULT_MARGIN) + 1) * 16
+    monkeypatch.setattr(symbols, "BLOCK_BYTES", 8 * row_bytes)
+    build, builds, met = symbols.coupling_tensor, itertools.count(), threading.Barrier(2)
+
+    def together(*args, **kwargs):
+        C = build(*args, **kwargs)
+        if next(builds) < 2:  # each lane's first block waits until the other's is built
+            met.wait(timeout=30)
+        return C
+
+    monkeypatch.setattr(symbols, "coupling_tensor", together)
+    op(m, make_symbol("x_modulated_bracket", power=1.0), 1)
+    assert 0 < live_blocks.peak_bytes <= symbols.BLOCK_BYTES
+    assert len(live_blocks) == -(-(2 * (m.N + DEFAULT_MARGIN) - 1) // 4)  # 4 rows a block
 
 
 @pytest.mark.parametrize("threads", [{"OPENBLAS_NUM_THREADS": "1", "NONHARMONIC_THREADS": "2"},

@@ -2,16 +2,21 @@
 
 `perfbench/workloads.py` calls the public API positionally; loading it
 here (read-only, as a module from its path) makes a narrowed signature
-fail in the suite before it fails in the benchmark.
+fail in the suite before it fails in the benchmark.  `BENCHMARK.json` is
+read the same way, so that a renamed function fails here instead of
+silently zeroing the per-layer metrics that name it.
 """
 
+import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_PATH = _ROOT / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +52,21 @@ def test_difference_calculus_pass_builds_six_coupling_tensors(workloads, monkeyp
     # symbol_order, compose and parametrix each build Delta^1 and Delta^2 once: a
     # higher truncation order reuses the differences its symbol cached at the lower one
     assert sorted(alphas) == [1, 1, 1, 2, 2, 2]
+
+
+def test_benchmark_metrics_name_package_functions():
+    # <module>.<name>.calls and .self_s count a traced package function; the
+    # <module>.all aggregates sum over a whole module
+    names = [m["name"] for m in json.loads((_ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    unresolved, checked = [], 0
+    for name in names:
+        module, *path, stat = name.split(".")
+        if stat not in ("calls", "self_s") or path == ["all"]:
+            continue
+        checked += 1
+        obj = importlib.import_module(f"nonharmonic.{module}")
+        for part in path:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            unresolved.append(name)
+    assert checked >= 20 and unresolved == []
