@@ -172,7 +172,11 @@ def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int) -> Sy
 
 def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int) -> Symbol:
     """Truncated adjoint expansion
-    tau^(terms) = sum_{alpha < terms} (1/alpha!) Delta~^alpha D^(alpha) conj(a)."""
+    tau^(terms) = sum_{alpha < terms} (1/alpha!) Delta~^alpha D^(alpha) conj(a).
+
+    For a multiplier (no x-dependence) every D^(alpha) conj(a) with
+    alpha >= 1 is identically zero, so its Delta~^alpha is zero too and
+    builds no coupling tensor (see `symbols._delta`)."""
     if terms < 1:
         raise WindowExhaustedError("adjoint expansion needs terms >= 1")
     margin, out_margin = a.margin_after(model, terms - 1, f"adjoint with terms={terms}")

@@ -192,7 +192,9 @@ class Symbol:
                 raise WindowExhaustedError(
                     f"symbol {self.name!r} read at xi={xi}, valid window is +-{off}"
                 )
-            return self._table[xi + off]
+            row = self._table[xi + off]  # a view: the table's own flags stay as they are
+            row.flags.writeable = False
+            return row
         if self.margin is not None and abs(xi) > model.N + self.margin:
             raise WindowExhaustedError(
                 f"symbol {self.name!r} read at xi={xi} beyond declared margin {self.margin}"
@@ -202,7 +204,9 @@ class Symbol:
 
     def table(self, model: ModelProblem, margin: int = 0) -> np.ndarray:
         """Sample table over {-N-margin, ..., N+margin}; cached per model.
-        An evaluator is called once per index, each result broadcast to the grid."""
+        An evaluator is called once per index, each result broadcast to the grid.
+        The table is a read-only view, so no caller can corrupt a later hit
+        or the Galerkin matrices and derived symbols computed from it."""
         key = (model.token, margin)
         if key in self._cache:
             return self._cache[key]
@@ -218,6 +222,8 @@ class Symbol:
             tab = np.empty((len(rows), model.Q), dtype=complex)
             for i, (xi, lam, br) in enumerate(rows):
                 tab[i] = self.fn(model.x, xi, lam, br)
+        tab = tab.view()  # an array handed to from_table keeps its own flags
+        tab.flags.writeable = False
         self._cache[key] = tab
         return tab
 
@@ -376,7 +382,13 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     conj(d) and q^alpha by the same operations, in the same order, as
     those rows of the whole tensor, and contracted into its own rows of the
     result.  That the BLAS product then gives each row the same bits is
-    pinned by the tests."""
+    pinned by the tests.
+
+    A symbol whose input table is identically zero has Delta^alpha = 0: it
+    gets a zero table with the margin, order, name and cache entry of any
+    other result, and takes no part in the contraction, so a window with no
+    other symbol builds no coupling tensor, no q^alpha and no basis blocks.
+    (The tensor route would give sums of C·0, zeros whose sign may be -0.)"""
     if alpha == 0:
         return list(syms)
     # every window is checked before any cache hit is taken
@@ -392,14 +404,22 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
         out_margin = in_margin - alpha
         in_off = model.N + in_margin
         out_off = model.N + out_margin
-        B_out = basis(-out_off, out_off)                # (2*out_off+1, Q)
-        B_in = basis(-in_off, in_off)
-        weighted = [B_in * syms[i].table(model, in_margin) for i in members]
-        summed = _coupled_rows(model, family, alpha, B_out, dual(-in_off, in_off), weighted)
-        for i, s in zip(members, summed):
+        tables = [syms[i].table(model, in_margin) for i in members]
+        live = [k for k, tab in enumerate(tables) if tab.any()]
+        results = [None] * len(members)  # None: an identically zero input
+        if live:
+            B_out = basis(-out_off, out_off)            # (2*out_off+1, Q)
+            B_in = basis(-in_off, in_off)
+            summed = _coupled_rows(model, family, alpha, B_out, dual(-in_off, in_off),
+                                   [B_in * tables[k] for k in live])
+            for k, s in zip(live, summed):
+                results[k] = np.divide(s, B_out, out=s)
+        for i, res in zip(members, results):
             sym = syms[i]
+            if res is None:
+                res = np.zeros((2 * out_off + 1, model.Q), complex)
             out[i] = sym.keep(key, Symbol.from_table(
-                model, np.divide(s, B_out, out=s), out_margin, order=sym.order - sym.rho * alpha,
+                model, res, out_margin, order=sym.order - sym.rho * alpha,
                 rho=sym.rho, delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]"))
     return out
 
@@ -411,7 +431,9 @@ def apply_Delta_many(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
     One coupling tensor serves every symbol read over the same window that
     has no cached Delta^alpha for this model and family, so each result is
     bitwise the one a call of its own gives.  A call in which every symbol
-    hits its cache builds no tensor.
+    hits its cache builds no tensor.  A symbol whose table is identically
+    zero over its window gets a zero Delta^alpha and joins no contraction,
+    so a window of such symbols alone builds no tensor either.
     """
     return _delta(model, syms, alpha, family, model.u_block, model.v_block, "Delta")
 

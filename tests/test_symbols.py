@@ -490,6 +490,29 @@ def test_cached_tables_are_read_only(hmodel):
             tab[0, 0] = 0.0
 
 
+def test_sampled_tables_and_rows_are_read_only_views(torus):
+    from nonharmonic.quantize import galerkin_matrix
+
+    sym = make_symbol("x_modulated_bracket", power=1.0)
+    galerkin = galerkin_matrix(torus, sym).matrix.copy()
+    delta = apply_Delta(torus, sym, 1).table(torus, 0).copy()
+    tab = sym.table(torus, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        tab[0, 0] = 5.0
+    assert sym.table(torus, 0)[0, 0] != 5.0
+    assert np.array_equal(galerkin_matrix(torus, sym).matrix, galerkin)
+    assert np.array_equal(apply_Delta(torus, sym, 1).table(torus, 0), delta)
+
+    own = make_symbol("exp_mode", mode=1).table(torus, 2).copy()
+    backed = Symbol.from_table(torus, own, 2)
+    for got in (backed.table(torus, 2), backed.table(torus, 0), backed.values(torus, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 5.0
+    assert own.flags.writeable  # the caller's array keeps its own flags
+    # an evaluator's row is a fresh array, the caller's to change
+    assert sym.values(torus, 3).flags.writeable
+
+
 class LiveBlocks(list):
     """Weak references to the arrays that hold the coupling-tensor blocks
     built, one per build, and the most bytes of them alive at once."""
@@ -654,3 +677,52 @@ def test_row_blocks_keep_the_window_contraction_path(monkeypatch, lanes):
         monkeypatch.setattr(symbols, "BLOCK_BYTES", 1)  # one row per block
         got = op(m, make_symbol("x_modulated_bracket", power=1.0), 1)
         assert np.array_equal(got.table(m, got.margin), whole.table(m, whole.margin))
+
+
+ZERO_TABLES = {  # identically zero symbols: a constant 0, and D^1 of an x-independent one
+    "constant_0": lambda m: make_symbol("constant", value=0.0),
+    "D1_bracket": lambda m: apply_D(m, make_symbol("bracket_power", power=1.0), 1),
+}
+
+
+@pytest.mark.parametrize("label,apply", BLOCKED_OPS.items(), ids=list(BLOCKED_OPS))
+@pytest.mark.parametrize("zero", ZERO_TABLES.values(), ids=list(ZERO_TABLES))
+@pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
+def test_difference_of_a_zero_table_builds_no_tensor(models, tensor_builds, name, zero, label,
+                                                     apply):
+    m = models[name]
+    sym = zero(m)
+    assert not sym.table(m, sym.available_margin(m)).any()
+    for alpha in (1, 2):
+        got = apply(m, sym, alpha)
+        margin = sym.available_margin(m) - alpha
+        assert (got.margin, got.order, got.name) == (
+            margin, sym.order - sym.rho * alpha, f"{label}^{alpha}[{sym.name}]")
+        tab = got.table(m, margin)
+        assert tab.shape == (2 * (m.N + margin) + 1, m.Q) and not tab.any()
+        assert apply(m, sym, alpha) is got
+    assert tensor_builds == []
+
+
+def test_mixed_window_contracts_only_the_nonzero_symbol(hmodel, tensor_builds):
+    syms = [make_symbol("constant", value=0.0), make_symbol("x_modulated_bracket", power=1.0),
+            apply_D(hmodel, make_symbol("bracket_power", power=1.0), 1)]
+    out = apply_Delta_many(hmodel, syms, 2)
+    assert len(tensor_builds) == 1
+    lone = apply_Delta(hmodel, make_symbol("x_modulated_bracket", power=1.0), 2)
+    assert np.array_equal(out[1].table(hmodel, out[1].margin), lone.table(hmodel, lone.margin))
+    for zero in (out[0], out[2]):  # +0 throughout: the tensor route's C·0 sums give some -0
+        tab = zero.table(hmodel, 0)
+        assert not tab.any() and not np.signbit(tab.view(float)).any()
+
+
+@pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
+def test_adjoint_of_a_multiplier_builds_no_tensor(models, tensor_builds, name):
+    from nonharmonic.quantize import adjoint_symbol
+
+    m = models[name]
+    lam = make_symbol("lambda_multiplier", order=m.order)
+    tau = adjoint_symbol(m, lam, 3)
+    assert tensor_builds == []
+    # the alpha >= 1 terms add zeros: the expansion is conj(lambda), bit for bit
+    assert np.array_equal(tau.table(m, tau.margin), np.conj(lam.table(m, tau.margin)))

@@ -54,6 +54,20 @@ def test_difference_calculus_pass_builds_six_coupling_tensors(workloads, monkeyp
     assert sorted(alphas) == [1, 1, 1, 2, 2, 2]
 
 
+def test_twisted_timedep_pass_builds_two_coupling_tensors(workloads, monkeypatch):
+    import nonharmonic.symbols as symbols
+
+    build, alphas = symbols.coupling_tensor, []
+    monkeypatch.setattr(symbols, "coupling_tensor",
+                        lambda *args, **kw: alphas.append(args[2]) or build(*args, **kw))
+    model = workloads.library_model("twisted_timedep", 16)
+    for task in workloads.library_tasks("twisted_timedep", model, workloads.task_seed(5)):
+        assert workloads.run_task(task).ok, task.name
+    # the x-modulated adjoint builds Delta~^1 and Delta~^2; the lambda_multiplier
+    # adjoint builds none: D^(1) and D^(2) of conj(lambda) are identically zero
+    assert sorted(alphas) == [1, 2]
+
+
 def test_benchmark_metrics_name_package_functions():
     # <module>.<name>.calls and .self_s count a traced package function; the
     # <module>.all aggregates sum over a whole module
