@@ -14,7 +14,7 @@ backward Euler (order 1), and Picard iteration of the integral equation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -44,6 +44,7 @@ class EvolutionProblem:
     forcing: Optional[Callable[[float], np.ndarray]] = None
     order_m: float = 2.0
     ellipticity_gate: str = "dissipative"
+    _gronwall: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self, model: ModelProblem):
         if self.scheme not in SCHEMES:
@@ -175,6 +176,28 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
                       picard_iterations=iterations)
 
 
+def _gronwall_C2(model: ModelProblem, prob: EvolutionProblem, seed: int) -> float:
+    """The largest Garding constant C2 of -Re K at t = 0, T/2 and T (0 under
+    the literal gate).  It is computed once per model, seed and problem
+    data and kept on the problem, which `energy_check` and
+    `uniqueness_probe` of one problem then share."""
+    key = (model.token, seed, prob.symbol_factory, prob.T, prob.order_m, prob.ellipticity_gate)
+    if key not in prob._gronwall:
+        C2 = 0.0
+        if prob.ellipticity_gate != "literal":
+            for t in (0.0, prob.T / 2.0, prob.T):
+                sym = prob.symbol_factory(t)
+                neg = Symbol.from_table(model, -sym.table(model, 0), 0,
+                                        order=prob.order_m, name=f"-K({t:g})")
+                try:
+                    rep = garding_estimate(model, neg, prob.order_m, trials=50, seed=seed)
+                    C2 = max(C2, rep.C2)
+                except EllipticityError:
+                    C2 = max(C2, 0.0)
+        prob._gronwall[key] = C2
+    return prob._gronwall[key]
+
+
 @dataclass
 class EnergyReport:
     C: float
@@ -190,21 +213,11 @@ def energy_check(model: ModelProblem, prob: EvolutionProblem, traj: Trajectory,
                  seed: int = 0) -> EnergyReport:
     """Verify ||v(t)||^2 <= C ||u0||^2 + C'(T) int_0^T ||f||^2.
 
-    C = exp(2 C2 T) with C2 the Garding constant of -Re K at sampled
-    times (Gronwall); C' is fitted as the tightest constant over the
-    trajectory and the margins are reported per step.
+    C = exp(2 C2 T) with C2 the Gronwall constant (`_gronwall_C2`); C' is
+    fitted as the tightest constant over the trajectory and the margins
+    are reported per step.
     """
-    C2 = 0.0
-    if prob.ellipticity_gate != "literal":
-        for t in (0.0, prob.T / 2.0, prob.T):
-            sym = prob.symbol_factory(t)
-            neg = Symbol.from_table(model, -sym.table(model, 0), 0,
-                                    order=prob.order_m, name=f"-K({t:g})")
-            try:
-                rep = garding_estimate(model, neg, prob.order_m, trials=50, seed=seed)
-                C2 = max(C2, rep.C2)
-            except EllipticityError:
-                C2 = max(C2, 0.0)
+    C2 = _gronwall_C2(model, prob, seed)
     C = float(np.exp(2.0 * C2 * prob.T))
 
     if prob.forcing is None:
@@ -262,8 +275,7 @@ def uniqueness_probe(model: ModelProblem, prob: EvolutionProblem, scale: float =
     bump_norm = _norms_of((fourier(model, bump).values)[None, :], gram)[0]
     ratio = diff / (scale * max(bump_norm, 1e-300))
 
-    rep = energy_check(model, prob, t1, seed=seed)
-    envelope = np.exp(rep.C2 * t1.times)
+    envelope = np.exp(_gronwall_C2(model, prob, seed) * t1.times)
     passed = bool(bitwise and hom_max <= 1e-12
                   and np.all(ratio <= envelope * (1.0 + 1e-6) + 1e-9))
     return UniquenessReport(bitwise_identical=bitwise, homogeneous_max_norm=hom_max,

@@ -77,9 +77,10 @@ class ModelSpec:
 
 @dataclass
 class ModelProblem:
-    """A built model: grid, weights, truncated eigen-data, and closed-form
-    evaluators valid on any integer index (needed by difference operators
-    that read past the truncation edge)."""
+    """A built model: grid, weights, truncated eigen-data, and the
+    closed-form basis u (or its dual v) on any integer index, `basis_at`
+    on any points and `basis_rows` on the grid (difference operators read
+    past the truncation edge)."""
 
     spec: ModelSpec
     indices: np.ndarray        # (2N+1,) ints, ascending
@@ -164,39 +165,25 @@ class ModelProblem:
         wd.flags.writeable = False
         return wd
 
-    def u_at(self, xs, xi: int) -> np.ndarray:
-        """u_xi sampled at arbitrary points xs in [0, 1]."""
+    def basis_at(self, xs, xi: int, dual: bool = False) -> np.ndarray:
+        """u_xi (v_xi if `dual`) sampled at arbitrary points xs in [0, 1]."""
         xs = np.asarray(xs, dtype=float)
         phase = np.exp(2j * np.pi * xi * xs)
         if self.spec.kind == "h_derivative":
-            return self.spec.h**xs * phase
+            return self.spec.h ** (-xs if dual else xs) * phase
         return phase
 
-    def v_at(self, xs, xi: int) -> np.ndarray:
-        """v_xi sampled at arbitrary points xs in [0, 1]."""
-        xs = np.asarray(xs, dtype=float)
-        phase = np.exp(2j * np.pi * xi * xs)
-        if self.spec.kind == "h_derivative":
-            return self.spec.h ** (-xs) * phase
-        return phase
+    def basis_rows(self, lo: int, hi: int, dual: bool = False) -> np.ndarray:
+        """Stacked u_xi (v_xi if `dual`) rows on the model grid for
+        xi = lo..hi inclusive: the model's own rows inside the window,
+        `basis_at` past +-N."""
+        own = self.v if dual else self.u
+        return np.stack([own[xi + self.N] if -self.N <= xi <= self.N
+                         else self.basis_at(self.x, xi, dual) for xi in range(lo, hi + 1)])
 
     def u_row(self, xi: int) -> np.ndarray:
         """u_xi on the model grid (any integer index, from the closed form)."""
-        if -self.N <= xi <= self.N:
-            return self.u[xi + self.N]
-        return self.u_at(self.x, xi)
-
-    def v_row(self, xi: int) -> np.ndarray:
-        if -self.N <= xi <= self.N:
-            return self.v[xi + self.N]
-        return self.v_at(self.x, xi)
-
-    def u_block(self, lo: int, hi: int) -> np.ndarray:
-        """Stacked u_xi rows for xi = lo..hi inclusive."""
-        return np.stack([self.u_row(xi) for xi in range(lo, hi + 1)])
-
-    def v_block(self, lo: int, hi: int) -> np.ndarray:
-        return np.stack([self.v_row(xi) for xi in range(lo, hi + 1)])
+        return self.basis_rows(xi, xi)[0]
 
     def quad(self, values: np.ndarray):
         """Periodic trapezoid quadrature along the last axis."""
@@ -282,8 +269,8 @@ def check_wz(model: ModelProblem) -> WZReport:
     minimum for h > 1.
     """
     xs = np.concatenate([model.x, [1.0]])
-    inf_u = np.array([np.min(np.abs(model.u_at(xs, xi))) for xi in model.indices])
-    inf_v = np.array([np.min(np.abs(model.v_at(xs, xi))) for xi in model.indices])
+    inf_u, inf_v = (np.array([np.min(np.abs(model.basis_at(xs, xi, dual)))
+                              for xi in model.indices]) for dual in (False, True))
     passed = bool(np.all(inf_u > 0) and np.all(inf_v > 0))
 
     # least-squares fit of log inf|u| = log C - N * log<xi> over both families

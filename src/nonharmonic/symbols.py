@@ -6,11 +6,13 @@ the index variable through coupling integrals against an admissible family
 q(x, y) vanishing on the diagonal; derivatives D^(beta) act in x through a
 triangular change of basis from ordinary derivatives.
 
-The default family is the single function q(x, y) = e^{2i pi (y-x)} - 1.
-It is periodic in y (so multiplication preserves both built-in boundary
-domains), has nonvanishing first derivative on the diagonal, and makes
-Delta an exact forward difference on all built-in models, which supplies
-closed-form oracles for every downstream expansion.
+The family is the single function q(x, y) = e^{2i pi (y-x)} - 1, and
+Delta~ uses its conjugate q~.  It is periodic in y (so multiplication
+preserves both built-in boundary domains), has nonvanishing first
+derivative on the diagonal, and makes Delta an exact forward difference on
+all built-in models, which supplies closed-form oracles for every
+downstream expansion.  Since the family is fixed, a derived symbol is
+cached under (operation, order, model token) alone.
 """
 
 from __future__ import annotations
@@ -36,32 +38,15 @@ DEFAULT_MARGIN = 4
 @dataclass(frozen=True, eq=False)
 class AdmissibleFamily:
     """A single difference-generating function q(x, y) and its y-derivatives
-    on the diagonal (as Taylor coefficients of s -> q(x, x+s) at s = 0).
-
-    A family compares and hashes by identity: the differences a symbol
-    caches are keyed by the family object that produced them."""
+    on the diagonal (as Taylor coefficients of s -> q(x, x+s) at s = 0)."""
 
     q: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diag_taylor: np.ndarray  # coefficients c_k of q(x, x+s) = sum c_k s^k, c_0 = 0
     name: str = "q"
-    _conjugate: Optional["AdmissibleFamily"] = field(default=None, init=False, repr=False)
 
     def power_xy(self, x: np.ndarray, y: np.ndarray, alpha: int) -> np.ndarray:
         """q^alpha on the grid x[:, None] x y[None, :]."""
         return self.q(x[:, None], y[None, :]) ** alpha
-
-    def conjugate(self) -> "AdmissibleFamily":
-        """Adjoint family q~(x, y) = conj(q(x, y)), built once per family;
-        the conjugate of q~ is this family itself."""
-        if self._conjugate is None:
-            tilde = AdmissibleFamily(
-                q=lambda x, y: np.conj(self.q(x, y)),
-                diag_taylor=np.conj(self.diag_taylor),
-                name=self.name + "~",
-            )
-            object.__setattr__(self, "_conjugate", tilde)
-            object.__setattr__(tilde, "_conjugate", self)
-        return self._conjugate
 
 
 def default_family() -> AdmissibleFamily:
@@ -74,9 +59,13 @@ def default_family() -> AdmissibleFamily:
     )
 
 
-#: the default family and its conjugate, built once and shared by every default argument
+#: the family of Delta and D^(beta), and its conjugate q~(x, y) = conj(q(x, y)) of Delta~
 DEFAULT_FAMILY = default_family()
-DEFAULT_FAMILY_TILDE = DEFAULT_FAMILY.conjugate()
+DEFAULT_FAMILY_TILDE = AdmissibleFamily(
+    q=lambda x, y: np.conj(DEFAULT_FAMILY.q(x, y)),
+    diag_taylor=np.conj(DEFAULT_FAMILY.diag_taylor),
+    name=DEFAULT_FAMILY.name + "~",
+)
 
 
 @dataclass
@@ -229,7 +218,7 @@ class Symbol:
 
     def keep(self, key: tuple, derived: "Symbol") -> "Symbol":
         """Cache `derived`, a table-backed symbol computed from this one,
-        under `key` = (operation, order or margin, model token[, family]).
+        under `key` = (operation, order or margin, model token).
         Its table is made read-only, so no caller can corrupt a later hit."""
         derived._table.flags.writeable = False
         self._cache[key] = derived
@@ -259,19 +248,18 @@ def _spectral_x_derivative(model: ModelProblem, rows: np.ndarray, order: int) ->
     return np.fft.ifft(np.fft.fft(rows, axis=-1) * mult, axis=-1)
 
 
-def apply_D(model: ModelProblem, sym: Symbol, beta: int,
-            family: AdmissibleFamily = DEFAULT_FAMILY) -> Symbol:
+def apply_D(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
     """Derived derivative D^(beta) of a symbol, sampled on an extended window.
 
     Ordinary x-derivatives are taken spectrally and recombined through the
-    triangular transform of the family.  The result is cached on `sym`.
+    triangular transform of DEFAULT_FAMILY.  The result is cached on `sym`.
     """
     if beta == 0:
         return sym
-    key = ("D", beta, model.token, family)
+    key = ("D", beta, model.token)
     if key in sym._cache:
         return sym._cache[key]
-    tr = d_operator_transform(family, beta)
+    tr = d_operator_transform(DEFAULT_FAMILY, beta)
     margin = sym.available_margin(model)
     tab = sym.table(model, margin)
     out = np.zeros_like(tab)
@@ -366,19 +354,20 @@ def _coupled_rows(model: ModelProblem, family: AdmissibleFamily, alpha: int,
     return summed
 
 
-def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: AdmissibleFamily,
-           basis: Callable, dual: Callable, label: str) -> list[Symbol]:
-    """Delta^alpha against a (basis b, dual basis d, family q) triple, given
-    b and d as block builders (lo, hi) -> rows:
+def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
+           star: bool) -> list[Symbol]:
+    """Delta^alpha (Delta~^alpha if `star`) against a (basis b, dual basis d,
+    family q) triple, (u, v, q) or (v, u, q~):
     b_xi(x)^-1 sum_eta b_eta(x) a(x, eta) quad_y(q^alpha(x, y) conj(d_eta(y)) b_xi(y)).
 
-    Each result is cached on its input symbol under (label, alpha, model
-    token, family).  The coupling tensor depends on the window but not on
-    the symbol, so it serves every symbol that misses the cache over the
-    same input margin.  It is built and contracted in blocks of output rows
-    xi (`_coupled_rows`): all lanes' blocks together take at most
-    BLOCK_BYTES per BLAS thread, in arrays the calling thread owns, and
-    none is kept.  Every block is built from the whole window's w·b,
+    Each window's input rows of b and d are built once, and the output rows
+    b_xi are a slice of the input ones.  Each result is cached on its input
+    symbol under ("Delta" or "Delta~", alpha, model token).  The coupling
+    tensor depends on the window but not on the symbol, so it serves every
+    symbol that misses the cache over the same input margin.  It is built
+    and contracted in blocks of output rows xi (`_coupled_rows`): all
+    lanes' blocks together take at most BLOCK_BYTES per BLAS thread, in
+    arrays the calling thread owns, and none is kept.  Every block is built from the whole window's w·b,
     conj(d) and q^alpha by the same operations, in the same order, as
     those rows of the whole tensor, and contracted into its own rows of the
     result.  That the BLAS product then gives each row the same bits is
@@ -391,9 +380,10 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     (The tensor route would give sums of C·0, zeros whose sign may be -0.)"""
     if alpha == 0:
         return list(syms)
+    family, label = (DEFAULT_FAMILY_TILDE, "Delta~") if star else (DEFAULT_FAMILY, "Delta")
     # every window is checked before any cache hit is taken
     margins = [sym.margin_after(model, alpha, f"{label}^{alpha}")[0] for sym in syms]
-    key = (label, alpha, model.token, family)
+    key = (label, alpha, model.token)
     out = [sym._cache.get(key) for sym in syms]
     windows = {}  # input margin -> positions in syms that miss the cache
     for i, in_margin in enumerate(margins):
@@ -408,9 +398,10 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
         live = [k for k, tab in enumerate(tables) if tab.any()]
         results = [None] * len(members)  # None: an identically zero input
         if live:
-            B_out = basis(-out_off, out_off)            # (2*out_off+1, Q)
-            B_in = basis(-in_off, in_off)
-            summed = _coupled_rows(model, family, alpha, B_out, dual(-in_off, in_off),
+            B_in = model.basis_rows(-in_off, in_off, dual=star)
+            B_out = B_in[alpha:len(B_in) - alpha]  # xi = -out_off..out_off
+            summed = _coupled_rows(model, family, alpha, B_out,
+                                   model.basis_rows(-in_off, in_off, dual=not star),
                                    [B_in * tables[k] for k in live])
             for k, s in zip(live, summed):
                 results[k] = np.divide(s, B_out, out=s)
@@ -424,37 +415,34 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int, family: Admi
     return out
 
 
-def apply_Delta_many(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
-                     family: AdmissibleFamily = DEFAULT_FAMILY) -> list[Symbol]:
+def apply_Delta_many(model: ModelProblem, syms: Sequence[Symbol], alpha: int) -> list[Symbol]:
     """`apply_Delta` of each symbol in `syms`.
 
     One coupling tensor serves every symbol read over the same window that
-    has no cached Delta^alpha for this model and family, so each result is
+    has no cached Delta^alpha for this model, so each result is
     bitwise the one a call of its own gives.  A call in which every symbol
     hits its cache builds no tensor.  A symbol whose table is identically
     zero over its window gets a zero Delta^alpha and joins no contraction,
     so a window of such symbols alone builds no tensor either.
     """
-    return _delta(model, syms, alpha, family, model.u_block, model.v_block, "Delta")
+    return _delta(model, syms, alpha, star=False)
 
 
-def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int,
-                family: AdmissibleFamily = DEFAULT_FAMILY) -> Symbol:
+def apply_Delta(model: ModelProblem, sym: Symbol, alpha: int) -> Symbol:
     """Difference operator Delta^alpha through the coupling-tensor route:
 
         Delta^a a(x, xi) = u_xi(x)^-1 sum_eta u_eta(x) a(x, eta) C[xi, eta, x].
 
-    For the built-in models with the default family this equals the forward
-    difference iterated alpha times, which tests exploit as an oracle.
+    On the built-in models this equals the forward difference iterated
+    alpha times, which tests exploit as an oracle.
     """
-    return apply_Delta_many(model, [sym], alpha, family)[0]
+    return apply_Delta_many(model, [sym], alpha)[0]
 
 
-def apply_Delta_star(model: ModelProblem, sym: Symbol, alpha: int,
-                     family: AdmissibleFamily = DEFAULT_FAMILY_TILDE) -> Symbol:
+def apply_Delta_star(model: ModelProblem, sym: Symbol, alpha: int) -> Symbol:
     """Adjoint difference operator: the same construction with u and v
-    swapped and the conjugate family q~ as default."""
-    return _delta(model, [sym], alpha, family, model.v_block, model.u_block, "Delta~")[0]
+    swapped and the conjugate family q~."""
+    return _delta(model, [sym], alpha, star=True)[0]
 
 
 def seminorm(model: ModelProblem, sym: Symbol, l: float, alpha: int, beta: int,

@@ -47,6 +47,21 @@ def geometric_star_coefficient(h: float, Q: int, xi: int) -> complex:
     return (h**2 - 1.0) / (Q * (r - 1.0))
 
 
+def closed_form_rows(model, lo, hi, dual=False):
+    """u_xi (v_xi if dual) for xi = lo..hi, written out: the model's own rows
+    inside the window, h^{+-x} e^{2 pi i xi x} on the grid past +-N."""
+    own, rows = model.v if dual else model.u, []
+    for xi in range(lo, hi + 1):
+        if -model.N <= xi <= model.N:
+            rows.append(own[xi + model.N])
+            continue
+        phase = np.exp(2j * np.pi * xi * model.x)
+        if model.spec.kind == "h_derivative":
+            phase = model.spec.h ** (-model.x if dual else model.x) * phase
+        rows.append(phase)
+    return np.stack(rows)
+
+
 def use_lanes(monkeypatch, n):
     """Set n lanes of one BLAS thread each, whatever the test run's BLAS variables."""
     from nonharmonic.threads import lanes

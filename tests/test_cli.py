@@ -162,6 +162,30 @@ def test_run_does_not_load_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_desk_delta_configs_on_two_lanes_start_no_thread_pool(tmp_path):
+    # every Delta window at N = 16 is one row block, so two lanes leave the
+    # pool, and the few ms of importing concurrent.futures, to larger windows
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import json, pathlib, sys",
+        "import nonharmonic.cli as cli",
+        "out = pathlib.Path(sys.argv[1])",
+        "for cfg in map(pathlib.Path, sys.argv[2:]):",
+        "    assert cli.main(['run', '--config', str(cfg), '--out', str(out / cfg.stem)]) == 0",
+        "    assert json.loads((out / cfg.stem / 'summary.json').read_text())"
+        "['threads']['lanes'] == 2",
+        "assert 'concurrent.futures' not in sys.modules",
+    ])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="1", NONHARMONIC_THREADS="2")
+    configs = [str(root / "configs" / name)
+               for name in ("compose.json", "parametrix.json", "symbol_order.json")]
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *configs], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_thread_cap_set_before_numpy_loads():
     script = "\n".join([
         "import os, sys",
@@ -216,6 +240,18 @@ def test_funcalc_computes_one_spectrum_and_one_keyhole_per_node_count(tmp_path, 
     # one inversion per node of the 25-, 50- and 100-per-segment keyholes,
     # shared by the three functions
     assert (len(spectra), len(keyholes), len(inversions)) == (1, 3, 4 * (25 + 50 + 100))
+
+
+def test_evolve_estimates_the_gronwall_constant_once(tmp_path, monkeypatch):
+    import nonharmonic.evolve as evolve
+
+    estimate, calls = evolve.garding_estimate, []
+    monkeypatch.setattr(evolve, "garding_estimate",
+                        lambda *a, **kw: calls.append(a[1].name) or estimate(*a, **kw))
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "evolve.json"
+    assert run(str(cfg), out_dir=str(tmp_path / "out")) == 0
+    # one estimate at t = 0, T/2 and T, shared by the energy check and the uniqueness probe
+    assert calls == ["-K(0)", "-K(0.05)", "-K(0.1)"]
 
 
 def test_shipped_configs_reproduce_csv_digests(tmp_path):

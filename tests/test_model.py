@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import closed_form_rows
 from nonharmonic.errors import ConfigurationError
 from nonharmonic.model import (ModelSpec, bracket, build_model, check_biorthogonality,
                                check_wz, s0_tail)
@@ -68,6 +69,39 @@ def test_wz_h_model_closed_form_infima(h):
     assert abs(rep.inf_u.min() - min(1.0, h)) <= 1e-14
     assert abs(rep.inf_v.min() - min(1.0, 1.0 / h)) <= 1e-14
     assert rep.passed
+
+
+def test_wz_infima_equal_the_written_out_loops(models):
+    for name, m in models.items():
+        xs = np.concatenate([m.x, [1.0]])
+        infima = []
+        for sign in (1.0, -1.0):  # u, then v
+            inf = []
+            for xi in m.indices:
+                phase = np.exp(2j * np.pi * xi * xs)
+                if m.spec.kind == "h_derivative":
+                    phase = m.spec.h ** (sign * xs) * phase
+                inf.append(np.min(np.abs(phase)))
+            infima.append(np.array(inf))
+        rep = check_wz(m)
+        assert np.array_equal(rep.inf_u, infima[0]) and np.array_equal(rep.inf_v, infima[1]), name
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["u", "v"])
+def test_basis_rows_equal_the_closed_form(models, dual):
+    for name, m in models.items():
+        for reach in (0, 1, 4):
+            lo, hi = -m.N - reach, m.N + reach
+            assert np.array_equal(m.basis_rows(lo, hi, dual),
+                                  closed_form_rows(m, lo, hi, dual)), (name, reach)
+        assert np.array_equal(m.basis_rows(m.N - 1, m.N + 3, dual),
+                              closed_form_rows(m, m.N - 1, m.N + 3, dual)), name
+
+
+def test_u_row_equals_the_closed_form(models):
+    for name, m in models.items():
+        for xi in (-m.N - 4, -m.N - 1, -m.N, 0, 3, m.N, m.N + 1, m.N + 4):
+            assert np.array_equal(m.u_row(xi), closed_form_rows(m, xi, xi)[0]), (name, xi)
 
 
 def test_wz_fitted_exponent_near_zero(models):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import use_lanes
+from conftest import closed_form_rows, use_lanes
 from nonharmonic.errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
 from nonharmonic.model import ModelProblem, ModelSpec, build_model
 from nonharmonic.symbols import (DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE, DEFAULT_MARGIN,
@@ -269,22 +269,23 @@ def test_unlimited_symbol_reports_default_margin(torus):
     assert make_symbol("bracket_power", power=1.0, margin=2).available_margin(torus) == 2
 
 
-def delta_star_reference(model, sym, alpha):
-    """The adjoint difference operator written out on its own: the v-basis
-    coupled against conj(u) through the conjugate family."""
-    family = default_family().conjugate()
-    avail = sym.available_margin(model)
-    in_margin = DEFAULT_MARGIN if avail is None else avail
+def delta_reference(model, sym, alpha, star=False):
+    """The difference operator written out on its own: the u-basis coupled
+    against conj(v) through q(x, y) = e^{2 pi i (y - x)} - 1, or for the
+    adjoint the v-basis against conj(u) through q~ = conj(q), contracted as
+    a batched product over the (x, xi, eta) tensor."""
+    in_margin = sym.available_margin(model)
     out_margin = in_margin - alpha
     in_off, out_off = model.N + in_margin, model.N + out_margin
     tab = sym.table(model, in_margin)
-    q_pow = family.power_xy(model.x, model.x, alpha)
-    V_in = model.v_block(-in_off, in_off)
-    V_out = model.v_block(-out_off, out_off)
-    U_in = model.u_block(-in_off, in_off)
-    C = np.einsum("xy,ey,gy,y->xge", q_pow, U_in.conj(), V_out, model.w, optimize=True)
-    summed = np.einsum("xge,ex->gx", C, V_in * tab, optimize=True)
-    return summed / V_out
+    q = np.exp(2j * np.pi * (model.x[None, :] - model.x[:, None])) - 1.0
+    q_pow = (np.conj(q) if star else q) ** alpha
+    B_in = closed_form_rows(model, -in_off, in_off, dual=star)
+    B_out = closed_form_rows(model, -out_off, out_off, dual=star)
+    D_in = closed_form_rows(model, -in_off, in_off, dual=not star)
+    C = np.einsum("xy,ey,gy,y->xge", q_pow, D_in.conj(), B_out, model.w, optimize=True)
+    summed = np.einsum("xge,ex->gx", C, B_in * tab, optimize=True)
+    return summed / B_out
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -294,25 +295,8 @@ def test_delta_star_equals_written_out_adjoint(hmodel, alpha, backing):
     if backing == "table":
         sym = Symbol.from_table(hmodel, sym.table(hmodel, 5), 5, order=1.0)
     out = apply_Delta_star(hmodel, sym, alpha)
-    assert np.array_equal(out.table(hmodel, out.margin), delta_star_reference(hmodel, sym, alpha))
-
-
-def delta_reference(model, sym, alpha):
-    """The difference operator written out on its own: the u-basis coupled
-    against conj(v) through the default family, contracted as a batched
-    product over the (x, xi, eta) tensor."""
-    family = default_family()
-    in_margin = sym.available_margin(model)
-    out_margin = in_margin - alpha
-    in_off, out_off = model.N + in_margin, model.N + out_margin
-    tab = sym.table(model, in_margin)
-    q_pow = family.power_xy(model.x, model.x, alpha)
-    U_in = model.u_block(-in_off, in_off)
-    U_out = model.u_block(-out_off, out_off)
-    V_in = model.v_block(-in_off, in_off)
-    C = np.einsum("xy,ey,gy,y->xge", q_pow, V_in.conj(), U_out, model.w, optimize=True)
-    summed = np.einsum("xge,ex->gx", C, U_in * tab, optimize=True)
-    return summed / U_out
+    assert np.array_equal(out.table(hmodel, out.margin),
+                          delta_reference(hmodel, sym, alpha, star=True))
 
 
 @pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
@@ -399,14 +383,6 @@ def test_estimate_order_builds_one_tensor_per_alpha(tensor_builds):
     assert all(ref() is None for ref in tensor_builds)
 
 
-def test_families_hash_by_identity_and_conjugate_back():
-    fam = default_family()
-    assert {DEFAULT_FAMILY: 1, fam: 2}[fam] == 2 and fam != default_family()
-    assert DEFAULT_FAMILY.conjugate() is DEFAULT_FAMILY_TILDE
-    assert DEFAULT_FAMILY_TILDE.conjugate() is DEFAULT_FAMILY
-    assert fam.conjugate() is fam.conjugate() and fam.conjugate().conjugate() is fam
-
-
 def truncated_expansions():
     from nonharmonic.calculus import parametrix
     from nonharmonic.quantize import adjoint_symbol, compose_symbols
@@ -461,18 +437,16 @@ def test_cached_difference_equals_a_fresh_symbols(hmodel, derive):
     assert np.array_equal(again.table(hmodel, again.margin), fresh.table(hmodel, fresh.margin))
 
 
-def test_another_family_or_model_misses_the_cache(tensor_builds):
+def test_another_model_misses_the_cache(tensor_builds):
     spec = ModelSpec(kind="torus_derivative", N=8, Q=64)
     m, twin = build_model(spec), build_model(spec)
     sym = make_symbol("x_modulated_bracket", power=1.0)
     cached = apply_Delta(m, sym, 1)
-    other_family = apply_Delta(m, sym, 1, default_family())
     other_model = apply_Delta(twin, sym, 1)
-    assert len(tensor_builds) == 3
-    assert apply_D(m, sym, 1, default_family()) is not apply_D(m, sym, 1)
-    for miss, model in ((other_family, m), (other_model, twin)):
-        assert miss is not cached
-        assert np.array_equal(miss.table(model, 0), cached.table(m, 0))
+    assert len(tensor_builds) == 2
+    assert apply_D(twin, sym, 1) is not apply_D(m, sym, 1)
+    assert other_model is not cached
+    assert np.array_equal(other_model.table(twin, 0), cached.table(m, 0))
 
 
 def test_cached_tables_are_read_only(hmodel):

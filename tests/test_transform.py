@@ -28,7 +28,7 @@ def test_fourier_of_constant_is_mode_zero(torus):
 
 def test_fourier_star_of_v_is_indicator(models):
     for name, m in models.items():
-        c = fourier_star(m, m.v_row(1))
+        c = fourier_star(m, m.v[1 + m.N])
         assert c.tag == "L*"
         np.testing.assert_allclose(c.values, indicator(m, 1), atol=1e-13, err_msg=name)
 
@@ -69,7 +69,7 @@ def test_inverse_of_indicator_and_zero(torus):
 
 def test_inverse_star_mirrors_inverse(hmodel):
     c = CoeffVector(indicator(hmodel, 1), tag="L*")
-    np.testing.assert_allclose(inverse_star(hmodel, c), hmodel.v_row(1), atol=1e-14)
+    np.testing.assert_allclose(inverse_star(hmodel, c), hmodel.v[1 + hmodel.N], atol=1e-14)
 
 
 def test_tag_and_shape_errors(torus):
