@@ -75,16 +75,16 @@ class Contour:
     weights: np.ndarray
 
     @classmethod
-    def keyhole_negative_axis(cls, R: float, eps: float = 0.1,
-                              nodes_per_segment: int = 100) -> "Contour":
+    def keyhole_negative_axis(cls, R: float, nodes_per_segment: int = 100) -> "Contour":
         """Keyhole around the negative real axis, closed at radius R.
 
-        Two rays at angles +-5 pi/6 joined by an arc of radius eps
+        Two rays at angles +-5 pi/6 joined by an arc of radius eps = 0.1
         around the origin and the closing outer arc through the right
         half-plane.  Rays are parametrized in log-radius; each segment uses
         8 Gauss-Legendre panels so that accuracy improves visibly (instead
         of saturating) as the node budget grows.
         """
+        eps = 0.1
         if not 0 < eps < R:
             raise ConfigurationError(f"keyhole needs 0 < eps < R, got eps={eps}, R={R}")
         phi = math.pi - math.pi / 6  # an opening half-angle of pi/6 around the cut
@@ -354,13 +354,10 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
     M - zI is inverted once per node and the inverse shared by every F, so
     each result is bitwise the one a call of its own gives.  The nodes are
     inverted in consecutive blocks of at most NODE_BLOCK_BYTES of inverses,
-    in rounds of one block per lane (`threads.lanes()`): the calling thread
-    inverts the first block of each round and a thread pool the others.
-    The calling thread adds every inverse to each F's sum in node order, by
-    the same expression as one lane, so the lanes change no bit.  A pool
-    block is handed out when the block one round before it is read, so the
-    pool works while the calling thread adds, and at most one block per
-    lane is alive at a time.
+    side by side on the lanes (`threads.side_by_side`), and the calling
+    thread adds every inverse to each F's sum in node order, by the same
+    expression as one lane, so the lanes change no bit.  At most one block
+    per lane is alive at a time.
     """
     Fzs = []
     for F, decay_exponent in functions:
@@ -379,35 +376,19 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
     eye = np.eye(n)
     accs = [np.zeros((n, n), dtype=complex) for _ in Fzs]
 
-    def invert(ks):
-        # all a helper lane runs: no function of the package, so none is traced there
-        return [np.linalg.inv(M - z * eye) for z in contour.nodes[ks]]
+    blocks = threads.blocks(len(contour.nodes), n * n * 16, NODE_BLOCK_BYTES)
 
-    def add(ks, inverses):
-        for k, X in zip(range(ks.start, ks.stop), inverses):
+    def invert(b):
+        # all a helper lane runs: no function of the package, so none is traced there
+        return [np.linalg.inv(M - z * eye) for z in contour.nodes[blocks[b]]]
+
+    def add(b, inverses):
+        for k, X in zip(range(blocks[b].start, blocks[b].stop), inverses):
             w = contour.weights[k]
             for acc, Fz in zip(accs, Fzs):
                 acc += (w * Fz[k]) * X
 
-    n_lanes = threads.lanes()
-    blocks = threads.blocks(len(contour.nodes), n * n * 16, NODE_BLOCK_BYTES)
-    if n_lanes == 1 or len(blocks) == 1:
-        for ks in blocks:
-            add(ks, invert(ks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # a few ms to load: only here
-
-        with ThreadPoolExecutor(n_lanes - 1) as pool:
-            helped = {b: pool.submit(invert, blocks[b])
-                      for b in range(1, min(n_lanes, len(blocks)))}
-            for b, ks in enumerate(blocks):
-                if b % n_lanes == 0:
-                    add(ks, invert(ks))
-                    continue
-                if b + n_lanes < len(blocks):
-                    helped[b + n_lanes] = pool.submit(invert, blocks[b + n_lanes])
-                # popped as it is read, so the block is dropped once added
-                add(ks, helped.pop(b).result())
+    threads.side_by_side(invert, len(blocks), add)
 
     results = []
     for (_, decay_exponent), Fz, acc in zip(functions, Fzs, accs):

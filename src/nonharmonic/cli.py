@@ -15,11 +15,11 @@ round-trip exactly; reruns of the same config and seed produce
 byte-identical CSV files.  The env var NONHARMONIC_THREADS caps the compute
 threads: NONHARMONIC_THREADS=k sets every BLAS variable that is unset to k,
 and the row blocks of Delta^alpha and the contour-node inversions of the
-functional calculus run on as many lanes as fit in k beside the BLAS
-threads (k lanes at OPENBLAS_NUM_THREADS=1).  0 or unset means
-automatic: the BLAS picks its thread count, and the lanes fill the usable
-cores it leaves.  A value that is not a non-negative integer exits 2 before
-anything is written.  The lanes and the thread variables go to the
+functional calculus run on as many lanes (`threads.side_by_side`) as fit in
+k beside the BLAS threads (k lanes at OPENBLAS_NUM_THREADS=1).  0 or unset
+means automatic: the BLAS picks its thread count, and the lanes fill the
+usable cores it leaves.  A value that is not a non-negative integer exits 2
+before anything is written.  The lanes and the thread variables go to the
 `threads` block of summary.json and of the registry record, never to a CSV.
 
 A config is checked against CONFIG_SCHEMA and the params schema of its

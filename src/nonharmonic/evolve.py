@@ -252,14 +252,14 @@ class UniquenessReport:
     passed: bool
 
 
-def uniqueness_probe(model: ModelProblem, prob: EvolutionProblem, scale: float = 1e-6,
-                     seed: int = 0) -> UniquenessReport:
+def uniqueness_probe(model: ModelProblem, prob: EvolutionProblem, seed: int = 0) -> UniquenessReport:
     """Determinism and uniqueness diagnostics.
 
     Two identical solves must agree bitwise; the homogeneous difference
     problem (zero data) must stay at zero; a perturbed initial value must
     stay inside the Gronwall envelope exp(C2 t) relative to its size.
     """
+    scale = 1e-6  # the perturbation of u0 is scale times a standard normal draw
     t1 = solve_ivp(model, prob)
     t2 = solve_ivp(model, prob)
     bitwise = bool(np.array_equal(t1.coeffs, t2.coeffs))

@@ -35,6 +35,9 @@ KINDS = ("torus_derivative", "h_derivative", "torus_laplacian")
 #: order m of the three built-in operators
 _KIND_ORDER = {"torus_derivative": 1.0, "h_derivative": 1.0, "torus_laplacian": 2.0}
 
+#: default extension margin: how far past +-N evaluator symbols are sampled
+DEFAULT_MARGIN = 4
+
 _token_counter = itertools.count()
 
 
@@ -69,10 +72,28 @@ class ModelSpec:
             raise ConfigurationError(f"parameter h is only meaningful for h_derivative, got kind {self.kind!r}")
         if self.m is not None and self.m <= 0:
             raise ConfigurationError("operator order m must be positive")
+        with np.errstate(over="ignore"):  # the farthest row the calculus reads by default
+            edge = self.bracket_val(self.N + DEFAULT_MARGIN)
+        if not np.isfinite(edge):
+            raise ConfigurationError(f"operator order m={self.order} is too small for N={self.N}: "
+                                     f"<xi> overflows at |xi| = N + {DEFAULT_MARGIN}")
 
     @property
     def order(self) -> float:
         return self.m if self.m is not None else _KIND_ORDER[self.kind]
+
+    def lam(self, xi):
+        """Eigenvalue lambda_xi for any integer index (scalar or array)."""
+        xi = np.asarray(xi)
+        if self.kind == "torus_derivative":
+            return 2.0 * np.pi * xi + 0.0j
+        if self.kind == "h_derivative":
+            return 2.0 * np.pi * xi - 1.0j * math.log(self.h)
+        return 4.0 * np.pi**2 * xi.astype(float) ** 2 + 0.0j
+
+    def bracket_val(self, xi):
+        """L-Japanese bracket <xi> = (1 + |lambda_xi|^2)^(1/(2m))."""
+        return (1.0 + np.abs(self.lam(xi)) ** 2) ** (1.0 / (2.0 * self.order))
 
 
 @dataclass
@@ -110,19 +131,10 @@ class ModelProblem:
     # -- closed-form evaluators on arbitrary integer indices ---------------
 
     def lam(self, xi):
-        """Eigenvalue lambda_xi for any integer index (scalar or array)."""
-        xi = np.asarray(xi)
-        kind = self.spec.kind
-        if kind == "torus_derivative":
-            return 2.0 * np.pi * xi + 0.0j
-        if kind == "h_derivative":
-            return 2.0 * np.pi * xi - 1.0j * math.log(self.spec.h)
-        return 4.0 * np.pi**2 * xi.astype(float) ** 2 + 0.0j
+        return self.spec.lam(xi)
 
     def bracket_val(self, xi):
-        """L-Japanese bracket <xi> = (1 + |lambda_xi|^2)^(1/(2m))."""
-        lam = self.lam(xi)
-        return (1.0 + np.abs(lam) ** 2) ** (1.0 / (2.0 * self.order))
+        return self.spec.bracket_val(xi)
 
     def index_scalars(self, xi: int) -> tuple:
         """(lambda_xi, <xi>) for one integer index, as the Python scalars a

@@ -25,10 +25,7 @@ import numpy as np
 
 from . import threads
 from .errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
-from .model import ModelProblem
-
-#: default extension margin: how far past +-N evaluator symbols are sampled
-DEFAULT_MARGIN = 4
+from .model import DEFAULT_MARGIN, ModelProblem
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +269,6 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
                                            name=f"D^{beta}[{sym.name}]"))
 
 
-#: the coupling tensor as an einsum over (q^alpha, conj(dual_in), basis_out, w)
-_COUPLING = "xy,ey,gy,y->xge"
-
 #: bytes of the coupling-tensor blocks alive at once, over all lanes, per BLAS
 #: thread: every window at N <= 16 (Q = 8N) is one block, a window at N = 32
 #: is five or six at one lane, and memory stays bounded as N grows
@@ -291,10 +285,11 @@ def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
     caller owns.  `family` and `alpha` name the tensor for the traces and
     tests that wrap this builder.
 
-    The steps are those einsum takes for _COUPLING along the path its
-    optimizer picks for every window with Q >= 32: w·basis (the caller's),
-    the product with conj(dual), then one BLAS product against q^alpha,
-    each with einsum's operands in einsum's order, so C has its bits.
+    The steps are those einsum takes for "xy,ey,gy,y->xge" over (q^alpha,
+    conj(dual), basis, w) along the path its optimizer picks for every
+    window with Q >= 32: w·basis (the caller's), the product with
+    conj(dual), then one BLAS product against q^alpha, each with einsum's
+    operands in einsum's order, so C has its bits.
     (Below Q = 32 the optimizer may pick another path, whose bits may
     differ in the last place.)"""
     np.multiply(basis_w[:, None, :], dual_conj[None, :, :], out=product)
@@ -308,11 +303,11 @@ def _coupled_rows(model: ModelProblem, family: AdmissibleFamily, alpha: int,
     for each array of `weighted`, with C the coupling tensor of B_out and
     D_in.  C is built and contracted in blocks of rows xi: the whole window
     if it fits in the budget of BLOCK_BYTES per BLAS thread, else blocks of
-    the budget over the `threads.lanes()` lanes, which work through them
-    side by side, lane k taking every lanes-th block from the k-th.  The
-    calling thread allocates every array a block needs, one set per lane
-    reused over its blocks, and the rows each block contracts into, so no
-    lane allocates and the blocks alive at once stay within the budget."""
+    the budget over the lanes of `threads.side_by_side`, lane k taking
+    every lanes-th block from the k-th.  The calling thread allocates every
+    array a block needs, one set per lane reused over its blocks, and the
+    rows each block contracts into, so no lane allocates and the blocks
+    alive at once stay within the budget."""
     n_lanes = threads.lanes()
     # a lane whose BLAS runs several threads (at most the thread cap) takes a
     # block as large per thread: a few rows are too small a product for them
@@ -340,17 +335,7 @@ def _coupled_rows(model: ModelProblem, family: AdmissibleFamily, alpha: int,
             for w, s in zip(weighted, summed):
                 np.einsum("gex,ex->gx", C, w, out=s[rows])
 
-    if n_lanes == 1:
-        lane(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # a few ms to load: only here
-
-        with ThreadPoolExecutor(n_lanes - 1) as pool:
-            # the calling thread is lane 0, which saves a helper
-            helped = [pool.submit(lane, k) for k in range(1, n_lanes)]
-            lane(0)
-            for future in helped:
-                future.result()
+    threads.side_by_side(lane, n_lanes)
     return summed
 
 

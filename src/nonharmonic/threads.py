@@ -2,7 +2,8 @@
 
 NONHARMONIC_THREADS caps the compute threads: the lanes that compute the
 row blocks of a difference operator, or invert the contour nodes of the
-functional calculus, side by side, times the BLAS threads of each lane.
+functional calculus, side by side (`side_by_side`, the one place the
+package starts a thread), times the BLAS threads of each lane.
 The CLI sets every BLAS variable that is unset to the setting before
 numpy loads, and the lanes take the threads the BLAS leaves:
 NONHARMONIC_THREADS=k runs one lane of k BLAS threads, or k lanes when
@@ -81,17 +82,38 @@ def lanes() -> int:
 
 def blocks(n_rows: int, row_bytes: int, block_bytes: int) -> list:
     """Consecutive slices of range(n_rows), each at most block_bytes (and at
-    least one row) long: the units of work the lanes share.
-
-    Each caller keeps its own policy for sharing them out.  Delta^alpha's
-    lanes share one budget: a window larger than block_bytes is cut into
-    blocks of block_bytes / lanes, each lane works through every lanes-th
-    block, and the calling thread allocates every array a block needs, one
-    set per lane.  The contour hands its blocks out one round ahead, so that
-    each is added in node order and dropped.  Under the contour's policy one
-    apply_Delta at N = 32 on 2 lanes was about 7% slower."""
+    least one row) long: the units of work the lanes share."""
     step = max(1, block_bytes // row_bytes)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def side_by_side(work, n_items: int, use=lambda i, result: None) -> None:
+    """use(i, work(i)) for i = 0..n_items-1, in order, on the calling thread.
+    The work runs on n = min(lanes(), n_items) lanes: the calling thread
+    runs every item i with i % n == 0 and a pool of n - 1 threads the
+    others, item i + n going to the pool when item i is read, so at most n
+    results are alive.  An exception from any item reaches the caller once
+    the pool has ended.  One lane is a plain loop, which loads no
+    concurrent.futures.  Delta^alpha's items are its lanes, not its blocks:
+    a lane's blocks share its buffers, and two could run at once as items.
+    The contour's items are its node blocks."""
+    n = min(lanes(), n_items)
+    if n <= 1:
+        for i in range(n_items):
+            use(i, work(i))
+        return
+    from concurrent.futures import ThreadPoolExecutor  # a few ms to load: only here
+
+    with ThreadPoolExecutor(n - 1) as pool:
+        helped = {i: pool.submit(work, i) for i in range(1, n)}
+        for i in range(n_items):
+            if i % n == 0:
+                use(i, work(i))
+                continue
+            if i + n < n_items:
+                helped[i + n] = pool.submit(work, i + n)
+            # popped as it is read, so its result is dropped once used
+            use(i, helped.pop(i).result())
 
 
 def record() -> dict:

@@ -276,7 +276,7 @@ def test_criterion_12_evolution(tmp_path):
             traj = solve_ivp(m, prob)
             rep = energy_check(m, prob, traj, seed=12)
             assert rep.violations == 0, prob.scheme
-        uni = uniqueness_probe(m, problems[0], scale=1e-6, seed=12)
+        uni = uniqueness_probe(m, problems[0], seed=12)
         assert uni.bitwise_identical
         assert uni.homogeneous_max_norm <= 1e-12
 

@@ -68,7 +68,7 @@ def test_winding_number_is_shared_orientation():
 
 def test_bad_contour_parameters():
     with pytest.raises(ConfigurationError):
-        Contour.keyhole_negative_axis(R=0.05, eps=0.1)
+        Contour.keyhole_negative_axis(R=0.05)
     with pytest.raises(ConfigurationError):
         Contour.polyline([0.0, 1.0])
 

@@ -70,6 +70,7 @@ def test_floating_point_overflow_exits_3(tmp_path, capsys):
 
 
 _SYMBOL_ORDER = {"model": BASE_MODEL, "task": "symbol-order"}
+_TINY_ORDER = {"kind": "torus_derivative", "N": 16, "Q": 128, "m": 0.004}
 
 
 @pytest.mark.parametrize("doc", [
@@ -104,6 +105,12 @@ _SYMBOL_ORDER = {"model": BASE_MODEL, "task": "symbol-order"}
     # xi = +-1 share one <xi>, so there is no slope to fit
     {"model": {"kind": "torus_derivative", "N": 1, "Q": 64}, "task": "symbol-order",
      "params": {"symbol": {"name": "bracket_power"}}},
+    # an order so small that <xi> overflows within the rows the calculus reads
+    {"model": _TINY_ORDER, "task": "model-check"},
+    {"model": _TINY_ORDER, "task": "symbol-order", "params": {"symbol": {"name": "bracket_power"}}},
+    {"model": _TINY_ORDER, "task": "compose",
+     "params": {"a": {"name": "bracket_power", "power": 1.0}, "b": {"name": "exp_mode", "mode": 1},
+                "terms": [1, 2, 3]}},
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, doc):
     assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out")) == 2

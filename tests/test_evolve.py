@@ -127,7 +127,7 @@ def test_energy_bound_with_forcing_and_time_dependence(torus):
 
 def test_uniqueness_probe(torus):
     prob = dissipative_problem(torus, steps=100)
-    rep = uniqueness_probe(torus, prob, scale=1e-6, seed=3)
+    rep = uniqueness_probe(torus, prob, seed=3)
     assert rep.bitwise_identical
     assert rep.homogeneous_max_norm <= 1e-12
     assert np.all(rep.ratio <= rep.envelope * (1 + 1e-6) + 1e-9)

@@ -640,7 +640,7 @@ def test_row_blocks_keep_the_window_contraction_path(monkeypatch, lanes):
     m = build_model(ModelSpec(kind="h_derivative", N=1, Q=8, h=2.0))
     n_in = 2 * (m.N + DEFAULT_MARGIN) + 1
     q_pow, dual = np.ones((m.Q, m.Q)), np.ones((n_in, m.Q))
-    paths = [np.einsum_path(symbols._COUPLING, q_pow, dual, np.ones((rows, m.Q)), m.w,
+    paths = [np.einsum_path("xy,ey,gy,y->xge", q_pow, dual, np.ones((rows, m.Q)), m.w,
                             optimize=True)[0] for rows in (n_in - 2, 1)]
     assert paths[0] != paths[1]
     use_lanes(monkeypatch, lanes)

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from conftest import use_lanes
 from nonharmonic import threads
 from nonharmonic.errors import ConfigurationError
 
@@ -77,3 +78,72 @@ def test_record_names_the_lanes_and_every_thread_variable(monkeypatch):
     assert rec["lanes"] == 2 and rec[threads.VARIABLE] == "2"
     assert rec["OPENBLAS_NUM_THREADS"] == "1" and rec["MKL_NUM_THREADS"] is None
     assert set(rec) == {"lanes", threads.VARIABLE, *threads.BLAS_VARIABLES}
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 3, 10])
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+def test_side_by_side_uses_every_item_once_in_order(monkeypatch, lanes, n_items):
+    import threading
+
+    use_lanes(monkeypatch, lanes)
+    caller, ran_on, used = threading.get_ident(), {}, []
+
+    def work(i):
+        ran_on[i] = threading.get_ident()
+        return i * i
+
+    threads.side_by_side(work, n_items,
+                         lambda i, result: used.append((i, result, threading.get_ident())))
+    assert used == [(i, i * i, caller) for i in range(n_items)]
+    n = min(lanes, n_items)
+    assert [ran_on[i] == caller for i in range(n_items)] == [i % n == 0 for i in range(n_items)]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+def test_side_by_side_passes_on_a_helper_failure(monkeypatch, lanes):
+    import threading
+
+    use_lanes(monkeypatch, lanes)
+    failed_on = []
+
+    def work(i):
+        if i == 5:  # a helper's item at 2 and 4 lanes
+            failed_on.append(threading.current_thread())
+            raise ValueError("item 5")
+        return i
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="item 5"):
+        threads.side_by_side(work, 12)
+    assert (failed_on[0] is threading.main_thread()) == (lanes == 1)
+    assert threading.active_count() == before  # the pool's threads have ended
+
+
+@pytest.mark.parametrize("lanes, n_items", [(1, 6), (2, 1), (4, 1), (2, 0)])
+def test_side_by_side_on_one_lane_loads_no_thread_pool(lanes, n_items):
+    import subprocess
+    import sys
+
+    script = "\n".join([
+        "import sys",
+        "from nonharmonic import threads",
+        "used = []",
+        f"threads.side_by_side(lambda i: i, {n_items}, lambda i, r: used.append(r))",
+        f"assert used == list(range({n_items}))",
+        "assert 'concurrent.futures' not in sys.modules",
+    ])
+    env = {k: v for k, v in os.environ.items()
+           if k not in (threads.VARIABLE, *threads.BLAS_VARIABLES)}
+    env.update({threads.VARIABLE: str(lanes), "OPENBLAS_NUM_THREADS": "1"})
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_threads_starts_a_thread_pool():
+    from pathlib import Path
+
+    package = Path(threads.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if any(word in path.read_text()
+                          for word in ("concurrent.futures", "ThreadPoolExecutor")))
+    assert users == ["threads.py"]
