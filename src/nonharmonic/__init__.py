@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 _SOURCES = {
     "model": ("BracketTable", "ModelProblem", "ModelSpec", "bracket", "build_model",
               "check_biorthogonality", "check_wz", "s0_tail"),
-    "symbols": ("AdmissibleFamily", "Symbol", "default_family", "make_symbol"),
-    "transform": ("CoeffVector", "fourier", "fourier_star", "inverse", "inverse_star"),
+    "symbols": ("Symbol", "make_symbol"),
+    "transform": ("CoeffVector", "fourier", "inverse"),
 }
 
 __all__ = [name for names in _SOURCES.values() for name in names] + ["__version__"]

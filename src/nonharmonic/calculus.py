@@ -50,6 +50,8 @@ def _gauss_segment(f_z: Callable[[np.ndarray], np.ndarray],
     The n nodes are spread over the panels as evenly as possible so the
     total node budget is met exactly.
     """
+    if n < 1:
+        raise ConfigurationError(f"a contour segment needs at least one node, got {n}")
     panels = min(panels, n)
     sizes = [n // panels + (1 if i < n % panels else 0) for i in range(panels)]
     ts, ws = [], []

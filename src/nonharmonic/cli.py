@@ -524,8 +524,8 @@ def _task_evolve(model, params, seed):
     u0 = model.u_row(int(params.get("u0_mode", 1)))
     forcing = None
     if "forcing_mode" in params:
-        fmode = int(params["forcing_mode"])
-        forcing = lambda t: model.u_row(fmode)
+        forcing_row = model.u_row(int(params["forcing_mode"]))
+        forcing = lambda t: forcing_row
     prob = EvolutionProblem(symbol_factory=lambda t: gen, u0=u0, T=T, steps=steps,
                             scheme=scheme, forcing=forcing, order_m=m_ord,
                             ellipticity_gate=gate)

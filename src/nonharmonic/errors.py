@@ -18,10 +18,6 @@ class ShapeError(NonharmonicError):
     """Grid function or coefficient vector with the wrong length."""
 
 
-class TagError(NonharmonicError):
-    """Coefficient vector used with the wrong transform tag."""
-
-
 class NumericalConsistencyError(NonharmonicError):
     """A quantity that must be (near-)real or nonnegative is not."""
 
@@ -30,12 +26,8 @@ class WZViolationError(NonharmonicError):
     """An eigenfunction value too close to zero for symbol extraction."""
 
 
-class AdmissibilityError(NonharmonicError):
-    """The difference family q fails an admissibility requirement."""
-
-
 class WindowExhaustedError(NonharmonicError):
-    """A symbol was read outside its valid extended index window."""
+    """A symbol, coefficient vector or bracket table read outside its index window."""
 
 
 class EllipticityError(NonharmonicError):

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, WindowExhaustedError
 
 KINDS = ("torus_derivative", "h_derivative", "torus_laplacian")
 
@@ -158,7 +158,7 @@ class ModelProblem:
 
     @cached_property
     def conj_u(self) -> np.ndarray:
-        """conj(u), which the starred transform pairs against; read-only."""
+        """conj(u), which the sequence-space norms pair against; read-only."""
         cu = self.u.conj()
         cu.flags.writeable = False
         return cu
@@ -176,6 +176,13 @@ class ModelProblem:
         wd = self.w * self.conj_v
         wd.flags.writeable = False
         return wd
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G[eta, xi] = quad(u_xi * conj(u_eta)), the coefficient Gram matrix; read-only."""
+        g = (self.conj_u * self.w) @ self.u.T
+        g.flags.writeable = False
+        return g
 
     def basis_at(self, xs, xi: int, dual: bool = False) -> np.ndarray:
         """u_xi (v_xi if `dual`) sampled at arbitrary points xs in [0, 1]."""
@@ -210,7 +217,15 @@ class BracketTable:
     values: np.ndarray
 
     def __getitem__(self, xi: int) -> float:
-        return float(self.values[xi + (len(self.values) - 1) // 2])
+        return float(self.values[_window_position(xi, len(self.values))])
+
+
+def _window_position(xi: int, length: int) -> int:
+    """Position of index xi in an array of the given length over {-N, ..., N}."""
+    N = (length - 1) // 2
+    if abs(xi) > N:
+        raise WindowExhaustedError(f"index xi={xi} read outside the window +-{N}")
+    return xi + N
 
 
 @dataclass

@@ -44,7 +44,7 @@ class GalerkinMatrix:
     def apply(self, c: CoeffVector) -> CoeffVector:
         if len(c) != self.matrix.shape[1]:
             raise ShapeError(f"coefficient length {len(c)} does not match matrix {self.matrix.shape}")
-        return CoeffVector(self.matrix @ c.values, tag=c.tag)
+        return CoeffVector(self.matrix @ c.values)
 
 
 @dataclass
@@ -245,4 +245,4 @@ def adjoint_oracle(model: ModelProblem, a: Symbol) -> Symbol:
 def band_limited(model: ModelProblem, rng: np.random.Generator) -> np.ndarray:
     """A random band-limited grid function (coefficients ~ complex normal)."""
     c = rng.standard_normal(len(model.indices)) + 1j * rng.standard_normal(len(model.indices))
-    return inverse(model, CoeffVector(c, tag="L"))
+    return inverse(model, CoeffVector(c))

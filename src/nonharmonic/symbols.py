@@ -7,12 +7,16 @@ q(x, y) vanishing on the diagonal; derivatives D^(beta) act in x through a
 triangular change of basis from ordinary derivatives.
 
 The family is the single function q(x, y) = e^{2i pi (y-x)} - 1, and
-Delta~ uses its conjugate q~.  It is periodic in y (so multiplication
-preserves both built-in boundary domains), has nonvanishing first
-derivative on the diagonal, and makes Delta an exact forward difference on
-all built-in models, which supplies closed-form oracles for every
-downstream expansion.  Since the family is fixed, a derived symbol is
-cached under (operation, order, model token) alone.
+Delta~ uses its conjugate q~; no other family can be plugged in.  Both
+are computed in closed form where they are needed: q^alpha and q~^alpha
+on the grid for a coupling tensor, and the diagonal Taylor coefficients
+c_k = (2 pi i)^k / k! to whatever order D^(beta) asks.  q is periodic in
+y (so multiplication preserves both built-in boundary domains), has
+nonvanishing first derivative c_1 = 2 pi i on the diagonal, and makes
+Delta an exact forward difference on all built-in models, which supplies
+closed-form oracles for every downstream expansion.  Since the family is
+fixed, a derived symbol is cached under (operation, order, model token)
+alone.
 """
 
 from __future__ import annotations
@@ -24,45 +28,23 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import threads
-from .errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
+from .errors import ConfigurationError, WindowExhaustedError
 from .model import DEFAULT_MARGIN, ModelProblem
 
 
 # ---------------------------------------------------------------------------
-# admissible family
+# the difference family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class AdmissibleFamily:
-    """A single difference-generating function q(x, y) and its y-derivatives
-    on the diagonal (as Taylor coefficients of s -> q(x, x+s) at s = 0)."""
-
-    q: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    diag_taylor: np.ndarray  # coefficients c_k of q(x, x+s) = sum c_k s^k, c_0 = 0
-    name: str = "q"
-
-    def power_xy(self, x: np.ndarray, y: np.ndarray, alpha: int) -> np.ndarray:
-        """q^alpha on the grid x[:, None] x y[None, :]."""
-        return self.q(x[:, None], y[None, :]) ** alpha
+def _q_power(x: np.ndarray, alpha: int, star: bool) -> np.ndarray:
+    """q^alpha (q~^alpha if `star`) on the grid x[:, None] x x[None, :]."""
+    q = np.exp(2j * np.pi * (x[None, :] - x[:, None])) - 1.0
+    return (np.conj(q) if star else q) ** alpha
 
 
-def default_family() -> AdmissibleFamily:
-    """q(x, y) = e^{2i pi (y-x)} - 1 with diagonal Taylor data to order 8."""
-    coeffs = np.array([0.0] + [(2j * np.pi) ** k / math.factorial(k) for k in range(1, 9)])
-    return AdmissibleFamily(
-        q=lambda x, y: np.exp(2j * np.pi * (y - x)) - 1.0,
-        diag_taylor=coeffs,
-        name="exp_diff",
-    )
-
-
-#: the family of Delta and D^(beta), and its conjugate q~(x, y) = conj(q(x, y)) of Delta~
-DEFAULT_FAMILY = default_family()
-DEFAULT_FAMILY_TILDE = AdmissibleFamily(
-    q=lambda x, y: np.conj(DEFAULT_FAMILY.q(x, y)),
-    diag_taylor=np.conj(DEFAULT_FAMILY.diag_taylor),
-    name=DEFAULT_FAMILY.name + "~",
-)
+def _taylor_coefficients(K: int) -> np.ndarray:
+    """Coefficients c_0..c_K of q(x, x+s) = sum_k c_k s^k: c_0 = 0, c_k = (2 pi i)^k / k!."""
+    return np.array([0.0] + [(2j * np.pi) ** k / math.factorial(k) for k in range(1, K + 1)])
 
 
 @dataclass
@@ -75,29 +57,20 @@ class DOperatorTransform:
     Tinv: np.ndarray
 
 
-def d_operator_transform(family: AdmissibleFamily, max_order: int) -> DOperatorTransform:
+def d_operator_transform(max_order: int) -> DOperatorTransform:
     """Build the change of basis between d^beta and D^(alpha) up to max_order.
 
     From the Taylor expansion q(x, x+s) = sum_k c_k s^k with c_0 = 0 the
     entries are T[beta, alpha] = (beta! / alpha!) [s^beta] q(s)^alpha, which
-    is lower triangular with diagonal (c_1)^beta * beta!/beta! != 0 exactly
-    when c_1 != 0.
+    is lower triangular with diagonal (c_1)^beta = (2 pi i)^beta != 0.
     """
-    c = family.diag_taylor
-    if len(c) < max_order + 1:
-        raise ConfigurationError(
-            f"family {family.name!r} provides {len(c) - 1} diagonal derivatives, need {max_order}"
-        )
-    if abs(c[1]) < 1e-14:
-        raise AdmissibilityError(f"family {family.name!r} has vanishing d_y q on the diagonal")
-
     K = max_order
     T = np.zeros((K + 1, K + 1), dtype=complex)
     T[0, 0] = 1.0
     # powers of the truncated Taylor polynomial of q
     poly = np.zeros(K + 1, dtype=complex)
     poly[0] = 1.0  # q^0 = 1
-    base = c[: K + 1]
+    base = _taylor_coefficients(K)
     for alpha in range(1, K + 1):
         poly = np.convolve(poly, base)[: K + 1]
         for beta in range(K + 1):
@@ -249,14 +222,14 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
     """Derived derivative D^(beta) of a symbol, sampled on an extended window.
 
     Ordinary x-derivatives are taken spectrally and recombined through the
-    triangular transform of DEFAULT_FAMILY.  The result is cached on `sym`.
+    triangular transform of the family q.  The result is cached on `sym`.
     """
     if beta == 0:
         return sym
     key = ("D", beta, model.token)
     if key in sym._cache:
         return sym._cache[key]
-    tr = d_operator_transform(DEFAULT_FAMILY, beta)
+    tr = d_operator_transform(beta)
     margin = sym.available_margin(model)
     tab = sym.table(model, margin)
     out = np.zeros_like(tab)
@@ -275,15 +248,15 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
 BLOCK_BYTES = 4 << 20
 
 
-def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
+def coupling_tensor(model: ModelProblem, star: bool, alpha: int,
                     basis_w: np.ndarray, dual_conj: np.ndarray, q_pow: np.ndarray,
                     product: np.ndarray, out: np.ndarray) -> np.ndarray:
     """C[xi, eta, x] = quad_y(q^alpha(x, y) conj(dual_eta(y)) basis_xi(y)),
     built into `out` for the rows xi of `basis_w` = w·basis and eta of
-    `dual_conj` = conj(dual), given `q_pow`, the family's q^alpha on the
-    grid.  `product` is scratch; it and `out` are (xi, eta, Q) arrays the
-    caller owns.  `family` and `alpha` name the tensor for the traces and
-    tests that wrap this builder.
+    `dual_conj` = conj(dual), given `q_pow`, q^alpha (q~^alpha if `star`)
+    on the grid.  `product` is scratch; it and `out` are (xi, eta, Q)
+    arrays the caller owns.  `star` and `alpha` name the tensor for the
+    traces and tests that wrap this builder.
 
     The steps are those einsum takes for "xy,ey,gy,y->xge" over (q^alpha,
     conj(dual), basis, w) along the path its optimizer picks for every
@@ -297,7 +270,7 @@ def coupling_tensor(model: ModelProblem, family: AdmissibleFamily, alpha: int,
     return out
 
 
-def _coupled_rows(model: ModelProblem, family: AdmissibleFamily, alpha: int,
+def _coupled_rows(model: ModelProblem, star: bool, alpha: int,
                   B_out: np.ndarray, D_in: np.ndarray, weighted: list) -> list:
     """sum_eta C[xi, eta, x] weighted[eta, x] over the rows xi of B_out,
     for each array of `weighted`, with C the coupling tensor of B_out and
@@ -323,14 +296,14 @@ def _coupled_rows(model: ModelProblem, family: AdmissibleFamily, alpha: int,
     buffers = [(np.empty(shape, complex), np.empty(shape, complex)) for _ in range(n_lanes)]
     B_w = np.multiply(model.w, B_out)
     D_conj = np.conj(D_in)
-    q_pow = family.power_xy(model.x, model.x, alpha)
+    q_pow = _q_power(model.x, alpha, star)
     summed = [np.empty((n_out, Q), complex) for _ in weighted]
 
     def lane(k):
         product, tensor = buffers[k]
         for rows in blocks[k::n_lanes]:
             n = rows.stop - rows.start
-            C = coupling_tensor(model, family, alpha, B_w[rows], D_conj, q_pow,
+            C = coupling_tensor(model, star, alpha, B_w[rows], D_conj, q_pow,
                                 product[:n], tensor[:n])
             for w, s in zip(weighted, summed):
                 np.einsum("gex,ex->gx", C, w, out=s[rows])
@@ -365,7 +338,7 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
     (The tensor route would give sums of C·0, zeros whose sign may be -0.)"""
     if alpha == 0:
         return list(syms)
-    family, label = (DEFAULT_FAMILY_TILDE, "Delta~") if star else (DEFAULT_FAMILY, "Delta")
+    label = "Delta~" if star else "Delta"
     # every window is checked before any cache hit is taken
     margins = [sym.margin_after(model, alpha, f"{label}^{alpha}")[0] for sym in syms]
     key = (label, alpha, model.token)
@@ -385,7 +358,7 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
         if live:
             B_in = model.basis_rows(-in_off, in_off, dual=star)
             B_out = B_in[alpha:len(B_in) - alpha]  # xi = -out_off..out_off
-            summed = _coupled_rows(model, family, alpha, B_out,
+            summed = _coupled_rows(model, star, alpha, B_out,
                                    model.basis_rows(-in_off, in_off, dual=not star),
                                    [B_in * tables[k] for k in live])
             for k, s in zip(live, summed):

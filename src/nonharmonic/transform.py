@@ -1,37 +1,36 @@
 """Fourier analysis in the biorthogonal eigenbasis.
 
-The forward transform pairs against the v-family, the starred transform
-against the u-family; inversion expands in u (resp. v).  On the truncated
-span the pair (fourier, inverse) is exactly bijective because the
-quadrature integrates every u*conj(v) product exactly.
+The transform pairs against the v-family and its inverse expands in the
+u-family.  On the truncated span the pair (fourier, inverse) is exactly
+bijective because the quadrature integrates every u*conj(v) product
+exactly.
 
 Norms follow the sequence-space geometry generated by the biorthogonal
 system: the squared norm of a coefficient vector c is
-sum_xi c(xi) * conj((F* o F^-1 c)(xi)), which equals the quadrature L2
-norm of the reconstructed function.  The sum is asserted (not clamped) to
-be real and nonnegative so any degradation of biorthogonality surfaces
-instead of being hidden.
+sum_xi c(xi) * conj(c*(xi)), with c*(xi) = quad(F^-1 c * conj(u_xi)) the
+pairing of the reconstructed function against the u-family; the sum
+equals the quadrature L2 norm of the reconstructed function.  It is
+asserted (not clamped) to be real and nonnegative so any degradation of
+biorthogonality surfaces instead of being hidden.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, ShapeError, TagError
-from .model import ModelProblem
+from .errors import NumericalConsistencyError, ShapeError
+from .model import ModelProblem, _window_position
 
 IMAG_TOL = 1e-10
 
 
 @dataclass
 class CoeffVector:
-    """Coefficients over the truncated window, tagged by producing transform."""
+    """Coefficients over the truncated window {-N, ..., N}."""
 
     values: np.ndarray
-    tag: Literal["L", "L*"] = "L"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -40,7 +39,7 @@ class CoeffVector:
         return len(self.values)
 
     def __getitem__(self, xi: int) -> complex:
-        return complex(self.values[xi + (len(self.values) - 1) // 2])
+        return complex(self.values[_window_position(xi, len(self.values))])
 
 
 def _check_grid(model: ModelProblem, f: np.ndarray) -> np.ndarray:
@@ -50,37 +49,22 @@ def _check_grid(model: ModelProblem, f: np.ndarray) -> np.ndarray:
     return f.astype(complex)
 
 
-def _check_tag(c: CoeffVector, tag: str):
-    if c.tag != tag:
-        raise TagError(f"coefficient vector tagged {c.tag!r} where {tag!r} is required")
-
-
 def fourier(model: ModelProblem, f: np.ndarray) -> CoeffVector:
     """Forward transform: c(xi) = quad(f * conj(v_xi))."""
     f = _check_grid(model, f)
-    return CoeffVector(model.conj_v @ (model.w * f), tag="L")
-
-
-def fourier_star(model: ModelProblem, f: np.ndarray) -> CoeffVector:
-    """Starred transform: c(xi) = quad(f * conj(u_xi))."""
-    f = _check_grid(model, f)
-    return CoeffVector(model.conj_u @ (model.w * f), tag="L*")
+    return CoeffVector(model.conj_v @ (model.w * f))
 
 
 def inverse(model: ModelProblem, c: CoeffVector) -> np.ndarray:
     """Expansion f = sum_xi c(xi) u_xi on the grid."""
-    _check_tag(c, "L")
     if len(c) != len(model.indices):
         raise ShapeError(f"coefficient vector has length {len(c)}, expected {len(model.indices)}")
     return c.values @ model.u
 
 
-def inverse_star(model: ModelProblem, c: CoeffVector) -> np.ndarray:
-    """Expansion f = sum_xi c(xi) v_xi on the grid."""
-    _check_tag(c, "L*")
-    if len(c) != len(model.indices):
-        raise ShapeError(f"coefficient vector has length {len(c)}, expected {len(model.indices)}")
-    return c.values @ model.v
+def _u_pairing(model: ModelProblem, c: CoeffVector) -> np.ndarray:
+    """c*(xi) = quad(F^-1 c * conj(u_xi)) over the window."""
+    return model.conj_u @ (model.w * inverse(model, c))
 
 
 def _assert_real_nonneg(s: complex, what: str) -> float:
@@ -93,23 +77,15 @@ def _assert_real_nonneg(s: complex, what: str) -> float:
 
 
 def l2L_norm(model: ModelProblem, c: CoeffVector) -> float:
-    """Sequence-space norm (sum_xi c * conj(F* F^-1 c))^(1/2)."""
-    _check_tag(c, "L")
-    fstar = fourier_star(model, inverse(model, c))
-    s = complex(np.sum(c.values * fstar.values.conj()))
+    """Sequence-space norm (sum_xi c(xi) conj(c*(xi)))^(1/2)."""
+    s = complex(np.sum(c.values * _u_pairing(model, c).conj()))
     return float(np.sqrt(_assert_real_nonneg(s, "l2L norm")))
 
 
 def sobolev_norm(model: ModelProblem, c: CoeffVector, s: float) -> float:
-    """Sobolev norm (sum_xi <xi>^(2s) c(xi) conj(c*(xi)))^(1/2).
-
-    c* is recomputed through the starred transform of the reconstructed
-    grid function, exercising both transforms.
-    """
-    _check_tag(c, "L")
-    fstar = fourier_star(model, inverse(model, c))
+    """Sobolev norm (sum_xi <xi>^(2s) c(xi) conj(c*(xi)))^(1/2)."""
     weights = model.bracket_val(model.indices) ** (2.0 * s)
-    total = complex(np.sum(weights * c.values * fstar.values.conj()))
+    total = complex(np.sum(weights * c.values * _u_pairing(model, c).conj()))
     return float(np.sqrt(_assert_real_nonneg(total, f"Sobolev norm (s={s})")))
 
 
@@ -123,13 +99,14 @@ def l_convolution(model: ModelProblem, f: np.ndarray, g: np.ndarray) -> np.ndarr
     """Convolution adapted to the eigenbasis: hat(f * g) = fhat * ghat."""
     cf = fourier(model, f)
     cg = fourier(model, g)
-    return inverse(model, CoeffVector(cf.values * cg.values, tag="L"))
+    return inverse(model, CoeffVector(cf.values * cg.values))
 
 
 def coefficient_gram(model: ModelProblem) -> np.ndarray:
-    """Gram matrix G[eta, xi] = quad(u_xi * conj(u_eta)).
+    """Gram matrix G[eta, xi] = quad(u_xi * conj(u_eta)), built once per
+    model (`ModelProblem.gram`) and read-only.
 
     The quadrature L2 norm of f = sum c(xi) u_xi is (c^H G c)^(1/2); G is
     the identity for the self-adjoint torus kinds.
     """
-    return (model.conj_u * model.w) @ model.u.T
+    return model.gram

@@ -70,7 +70,7 @@ def test_criterion_02_transform_roundtrips_and_parseval():
         m2 = build_model(ModelSpec(kind="h_derivative", N=16, Q=128, h=2.0))
         ind = np.zeros(33)
         ind[16] = 1.0
-        got = l2L_norm(m2, CoeffVector(ind, tag="L"))
+        got = l2L_norm(m2, CoeffVector(ind))
         geom = math.sqrt(geometric_star_coefficient(2.0, 128, 0).real)
         assert abs(got - geom) <= 1e-10
         # ... and Richardson extrapolation over Q recovers the continuum
@@ -80,7 +80,7 @@ def test_criterion_02_transform_roundtrips_and_parseval():
             mq = build_model(ModelSpec(kind="h_derivative", N=1, Q=256 * 2**j, h=2.0))
             e0 = np.zeros(3)
             e0[1] = 1.0
-            sq.append(l2L_norm(mq, CoeffVector(e0, tag="L")) ** 2)
+            sq.append(l2L_norm(mq, CoeffVector(e0)) ** 2)
         row = sq
         for k in range(1, 6):
             row = [(2**k * row[j + 1] - row[j]) / (2**k - 1) for j in range(len(row) - 1)]

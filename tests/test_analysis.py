@@ -64,7 +64,7 @@ def garding_reference(model, a, m, trials, seed):
     for t in range(trials):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c /= np.linalg.norm(c)
-        cv = CoeffVector(c, tag="L")
+        cv = CoeffVector(c)
         u = inverse(model, cv)
         Au = op_apply_coeff(model, a, cv)
         quad[t] = float(np.real(model.quad(Au * np.conj(u))))

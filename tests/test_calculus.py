@@ -73,6 +73,17 @@ def test_bad_contour_parameters():
         Contour.polyline([0.0, 1.0])
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_contour_node_counts_below_one_are_configuration_errors(torus, count):
+    a = make_symbol("bracket_power", power=1.0)
+    for build in (lambda: Contour.keyhole_negative_axis(R=10.0, nodes_per_segment=count),
+                  lambda: Contour.default_keyhole(torus, a, nodes_per_segment=count),
+                  lambda: Contour.circle(center=0.0, radius=1.0, n=count),
+                  lambda: Contour.polyline([0.0, 1.0, 1.0j], n_per_edge=count)):
+        with pytest.raises(ConfigurationError, match="at least one node"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # parametrix
 # ---------------------------------------------------------------------------

@@ -169,6 +169,15 @@ def test_run_does_not_load_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_exported_name_resolves_through_the_lazy_loader():
+    import nonharmonic
+
+    for name in set(nonharmonic.__all__) - {"__version__"}:
+        assert nonharmonic.__getattr__(name).__module__.startswith("nonharmonic."), name
+    with pytest.raises(AttributeError):
+        nonharmonic.__getattr__("fourier_star")
+
+
 def test_desk_delta_configs_on_two_lanes_start_no_thread_pool(tmp_path):
     # every Delta window at N = 16 is one row block, so two lanes leave the
     # pool, and the few ms of importing concurrent.futures, to larger windows
@@ -601,10 +610,17 @@ def test_config_validator_agrees_with_jsonschema():
 
 
 #: every library error class but ConfigurationError: each leaves through exit 3
-_GUARD_CLASSES = ("NonharmonicError", "ShapeError", "TagError", "NumericalConsistencyError",
-                  "WZViolationError", "AdmissibilityError", "WindowExhaustedError",
-                  "EllipticityError", "SpectrumProximityError", "BranchCutError",
-                  "PicardDivergenceError")
+_GUARD_CLASSES = ("NonharmonicError", "ShapeError", "NumericalConsistencyError",
+                  "WZViolationError", "WindowExhaustedError", "EllipticityError",
+                  "SpectrumProximityError", "BranchCutError", "PicardDivergenceError")
+
+
+def test_guard_classes_name_every_library_error():
+    from nonharmonic import errors
+
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.NonharmonicError)}
+    assert defined - {"ConfigurationError"} == set(_GUARD_CLASSES)
 
 
 def _exit_of_raised(exc, tmp_path, capsys, monkeypatch):

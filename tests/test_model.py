@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import closed_form_rows
-from nonharmonic.errors import ConfigurationError
+from nonharmonic.errors import ConfigurationError, WindowExhaustedError
 from nonharmonic.model import (ModelSpec, bracket, build_model, check_biorthogonality,
                                check_wz, s0_tail)
 
@@ -124,6 +124,15 @@ def test_bracket_nondecreasing_in_abs_index(models):
         N = m.N
         assert np.all(np.diff(vals[N:]) >= -1e-14), name
         assert np.all(vals >= 1.0 - 1e-15), name
+
+
+def test_bracket_index_checked_at_both_edges(models):
+    for name, m in models.items():
+        bt = bracket(m)
+        assert bt[-m.N] == bt.values[0] and bt[m.N] == bt.values[-1], name
+        for xi in (m.N + 1, -m.N - 1, -2 * m.N - 1):
+            with pytest.raises(WindowExhaustedError):
+                bt[xi]
 
 
 def test_laplacian_bracket_uses_order_two(laplacian):

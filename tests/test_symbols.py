@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import closed_form_rows, use_lanes
-from nonharmonic.errors import AdmissibilityError, ConfigurationError, WindowExhaustedError
+from nonharmonic.errors import ConfigurationError, WindowExhaustedError
 from nonharmonic.model import ModelProblem, ModelSpec, build_model
-from nonharmonic.symbols import (DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE, DEFAULT_MARGIN,
-                                 AdmissibleFamily, Symbol, apply_D, apply_Delta,
-                                 apply_Delta_many, apply_Delta_star, d_operator_transform,
-                                 default_family, estimate_order, make_symbol, seminorm)
+from nonharmonic.symbols import (DEFAULT_MARGIN, Symbol, _q_power, _taylor_coefficients,
+                                 apply_D, apply_Delta, apply_Delta_many, apply_Delta_star,
+                                 d_operator_transform, estimate_order, make_symbol, seminorm)
 
 TWO_PI_I = 2j * np.pi
 
@@ -25,17 +24,19 @@ def forward_difference_table(model, sym, alpha, margin=0):
     return np.stack(rows)
 
 
-def test_default_family_invariants():
-    fam = default_family()
+def test_family_invariants():
     x = np.linspace(0, 1, 13)
-    assert np.max(np.abs(fam.q(x, x))) == 0.0
-    # periodic in y: multiplication preserves both built-in boundary domains
-    np.testing.assert_allclose(fam.q(x, np.zeros_like(x)), fam.q(x, np.ones_like(x)), atol=1e-15)
-    assert abs(fam.diag_taylor[1]) > 0
+    for star in (False, True):
+        q = _q_power(x, 1, star)
+        assert np.max(np.abs(np.diag(q))) == 0.0
+        # periodic in y: multiplication preserves both built-in boundary domains
+        np.testing.assert_allclose(q[:, 0], q[:, -1], atol=1e-15)
+    np.testing.assert_array_equal(_q_power(x, 1, True), np.conj(_q_power(x, 1, False)))
+    assert _taylor_coefficients(1)[1] == TWO_PI_I
 
 
 def test_d_operator_transform_closed_form():
-    tr = d_operator_transform(default_family(), 3)
+    tr = d_operator_transform(3)
     assert tr.T[1, 1] == pytest.approx(TWO_PI_I, rel=1e-14)
     assert tr.T[2, 1] == pytest.approx(TWO_PI_I**2, rel=1e-14)
     assert tr.T[2, 2] == pytest.approx(TWO_PI_I**2, rel=1e-14)
@@ -45,23 +46,14 @@ def test_d_operator_transform_closed_form():
     assert tr.Tinv[2, 1] == pytest.approx(-1.0 / TWO_PI_I, rel=1e-14)
 
 
-@pytest.mark.parametrize("family", [DEFAULT_FAMILY, DEFAULT_FAMILY_TILDE], ids=["q", "q~"])
-def test_d_operator_transform_inverse_is_lower_triangular(family):
+def test_d_operator_transform_inverse_is_lower_triangular():
     for K in range(1, 9):
-        tr = d_operator_transform(family, K)
+        tr = d_operator_transform(K)
         assert np.all(np.triu(tr.Tinv, 1) == 0)
         # forward substitution's componentwise residual bound; T grows like (2 pi)^K,
         # so the plain entries of T Tinv - I are only ~1e-6 small at K = 8
         residual = np.abs(tr.T @ tr.Tinv - np.eye(K + 1))
         assert np.all(residual <= 1e-13 * (np.abs(tr.T) @ np.abs(tr.Tinv))), K
-
-
-def test_degenerate_family_rejected():
-    fam = AdmissibleFamily(q=lambda x, y: (np.exp(TWO_PI_I * (y - x)) - 1.0) ** 2,
-                           diag_taylor=np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
-                           name="squared")
-    with pytest.raises(AdmissibilityError):
-        d_operator_transform(fam, 2)
 
 
 @pytest.mark.parametrize("kind,h", [("torus_derivative", None), ("h_derivative", 2.0),
