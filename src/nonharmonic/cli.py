@@ -26,7 +26,8 @@ A config is checked against CONFIG_SCHEMA and the params schema of its
 task by `schema_violation`, a validator in this module, not a library: it
 supports exactly the JSON Schema keywords these schemas use, namely type,
 properties, required, additionalProperties, enum, minimum,
-exclusiveMinimum, minItems, items and oneOf.
+exclusiveMinimum, minItems, items and oneOf.  NaN, Infinity and
+-Infinity, which Python's json reads but JSON has not, are invalid.
 """
 
 from __future__ import annotations
@@ -234,10 +235,15 @@ def validate_config(config) -> None:
         raise ConfigurationError(f"config schema violation: {msg}")
 
 
+def _reject_constant(name: str):
+    # json reads NaN and +-Infinity, which are not JSON and pass every schema bound
+    raise ConfigurationError(f"{name} is not a JSON number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     validate_config(config)
@@ -498,7 +504,12 @@ def _task_l2norm(model, params, seed):
     hs = hilbert_schmidt_norm(model, sym)
     rows = [[n, float(v)] for n, v in zip(truncs, norms)]
     # equal norms grow by 0, also when both are 0 (an identically zero symbol)
-    growth = 0.0 if norms[-1] == norms[-2] else float(norms[-1] / norms[-2] - 1.0)
+    if norms[-1] == norms[-2]:
+        growth = 0.0
+    elif norms[-2] == 0:
+        growth = float("inf")
+    else:
+        growth = float(norms[-1] / norms[-2] - 1.0)
     passed = bool(abs(growth) <= max_growth)
     summary = {"operator_norms": dict(zip(map(str, truncs), map(float, norms))),
                "relative_growth_last_two": growth, "hilbert_schmidt_norm": hs}
@@ -590,7 +601,7 @@ def _run(config_path: str, out_dir, seed) -> int:
     from .model import ModelSpec, build_model
 
     mdl_block = config["model"]
-    spec = ModelSpec(kind=mdl_block["kind"], N=mdl_block["N"], Q=mdl_block["Q"],
+    spec = ModelSpec(kind=mdl_block["kind"], N=int(mdl_block["N"]), Q=int(mdl_block["Q"]),
                      h=mdl_block.get("h"), m=mdl_block.get("m"))
     spec.validate()  # so an invalid model leaves no output directory
     out = Path(out_dir or config.get("out_dir", "runs"))

@@ -119,6 +119,27 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_standard_json_constants_exit_2_with_one_line(tmp_path, capsys, value):
+    # json.dumps writes NaN, Infinity and -Infinity, which JSON has not
+    doc = {"model": {"kind": "h_derivative", "N": 8, "Q": 64, "h": value}, "task": "model-check"}
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid config: {json.dumps(value)} is not a JSON number\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_model_sizes_run_as_integers(tmp_path):
+    # the schema, like JSON Schema, counts 16.0 as an integer
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "symbol_order.json"
+    assert run(str(shipped), out_dir=str(tmp_path / "int")) == 0
+    doc = json.loads(shipped.read_text())
+    doc["model"].update(N=16.0, Q=128.0)
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "float")) == 0
+    assert ((tmp_path / "float" / "symbol_order.csv").read_bytes()
+            == (tmp_path / "int" / "symbol_order.csv").read_bytes())
+
+
 def test_one_entry_parametrix_of_a_multiplier_passes(tmp_path):
     cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "parametrix",
                                   "params": {"symbol": {"name": "bracket_power", "power": 2},
@@ -178,9 +199,10 @@ def test_every_exported_name_resolves_through_the_lazy_loader():
         nonharmonic.__getattr__("fourier_star")
 
 
-def test_desk_delta_configs_on_two_lanes_start_no_thread_pool(tmp_path):
+def test_desk_configs_but_funcalc_on_two_lanes_start_no_thread_pool(tmp_path):
     # every Delta window at N = 16 is one row block, so two lanes leave the
-    # pool, and the few ms of importing concurrent.futures, to larger windows
+    # pool, and the few ms of importing concurrent.futures, to larger
+    # windows; funcalc's contour nodes run on the lanes at every size
     root = Path(__file__).resolve().parent.parent
     script = "\n".join([
         "import json, pathlib, sys",
@@ -195,8 +217,9 @@ def test_desk_delta_configs_on_two_lanes_start_no_thread_pool(tmp_path):
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
     env.update(OPENBLAS_NUM_THREADS="1", NONHARMONIC_THREADS="2")
-    configs = [str(root / "configs" / name)
-               for name in ("compose.json", "parametrix.json", "symbol_order.json")]
+    configs = sorted(str(path) for path in (root / "configs").glob("*.json")
+                     if path.name != "funcalc.json")
+    assert len(configs) == 8
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *configs], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -360,6 +383,18 @@ def test_l2norm_of_a_zero_symbol_grows_by_zero(tmp_path):
     text = (tmp_path / "out" / "summary.json").read_text()
     assert "NaN" not in text
     assert json.loads(text)["summary"]["relative_growth_last_two"] == 0.0
+
+
+def test_l2norm_growing_from_a_zero_norm_fails_with_nothing_on_stderr(tmp_path, capsys):
+    # mode 12 lies outside the window at N = 8, so the first norm is 0
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "l2norm",
+                                  "params": {"symbol": {"name": "mode_indicator", "mode": 12},
+                                             "truncations": [8, 16]}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
+    assert summary["operator_norms"]["8"] == 0.0
+    assert summary["relative_growth_last_two"] == float("inf")
 
 
 def test_garding_and_parametrix_tasks(tmp_path):
