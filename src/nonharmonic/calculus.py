@@ -42,10 +42,8 @@ def _gauss_legendre(size: int) -> tuple:
     return t, w
 
 
-def _gauss_segment(f_z: Callable[[np.ndarray], np.ndarray],
-                   f_dz: Callable[[np.ndarray], np.ndarray],
-                   t0: float, t1: float, n: int, panels: int):
-    """Composite Gauss-Legendre nodes/weights for z(t), t in [t0, t1].
+def _gauss_segment(t0: float, t1: float, n: int, panels: int):
+    """Composite Gauss-Legendre nodes t and weights w on [t0, t1].
 
     The n nodes are spread over the panels as evenly as possible so the
     total node budget is met exactly.
@@ -60,9 +58,21 @@ def _gauss_segment(f_z: Callable[[np.ndarray], np.ndarray],
         base_t, base_w = _gauss_legendre(size)
         ts.append(0.5 * (b - a) * base_t + 0.5 * (a + b))
         ws.append(0.5 * (b - a) * base_w)
-    t = np.concatenate(ts)
-    w = np.concatenate(ws)
-    return f_z(t), w * f_dz(t)
+    return np.concatenate(ts), np.concatenate(ws)
+
+
+def _ray(angle: float, r0: float, r1: float, n: int):
+    """Nodes and weights of z = e^t e^(i angle), t from log r0 to log r1."""
+    t, w = _gauss_segment(math.log(r0), math.log(r1), n, 8)
+    z = np.exp(t) * np.exp(1j * angle)
+    return z, w * z
+
+
+def _arc(radius: float, t0: float, t1: float, n: int, panels: int):
+    """Nodes and weights of z = radius e^(it), t from t0 to t1."""
+    t, w = _gauss_segment(t0, t1, n, panels)
+    e = np.exp(1j * t)
+    return radius * e, w * (1j * radius * e)
 
 
 @dataclass
@@ -91,23 +101,10 @@ class Contour:
             raise ConfigurationError(f"keyhole needs 0 < eps < R, got eps={eps}, R={R}")
         phi = math.pi - math.pi / 6  # an opening half-angle of pi/6 around the cut
         n = nodes_per_segment
-        segs = []
-        # upper ray, inward: r from R to eps at angle +phi
-        segs.append(_gauss_segment(lambda t: np.exp(t) * np.exp(1j * phi),
-                                   lambda t: np.exp(t) * np.exp(1j * phi),
-                                   math.log(R), math.log(eps), n, 8))
-        # inner arc through the positive real axis: angle from +phi to -phi
-        segs.append(_gauss_segment(lambda t: eps * np.exp(1j * t),
-                                   lambda t: 1j * eps * np.exp(1j * t),
-                                   phi, -phi, n, 8))
-        # lower ray, outward: r from eps to R at angle -phi
-        segs.append(_gauss_segment(lambda t: np.exp(t) * np.exp(-1j * phi),
-                                   lambda t: np.exp(t) * np.exp(-1j * phi),
-                                   math.log(eps), math.log(R), n, 8))
-        # closing outer arc: angle from -phi to +phi through 0
-        segs.append(_gauss_segment(lambda t: R * np.exp(1j * t),
-                                   lambda t: 1j * R * np.exp(1j * t),
-                                   -phi, phi, n, 8))
+        segs = [_ray(phi, R, eps, n),  # upper ray, inward
+                _arc(eps, phi, -phi, n, 8),  # inner arc through the positive real axis
+                _ray(-phi, eps, R, n),  # lower ray, outward
+                _arc(R, -phi, phi, n, 8)]  # closing outer arc through 0
         return cls(nodes=np.concatenate([s[0] for s in segs]),
                    weights=np.concatenate([s[1] for s in segs]))
 
@@ -116,10 +113,8 @@ class Contour:
         """Counterclockwise circle around center."""
         if radius <= 0:
             raise ConfigurationError("circle radius must be positive")
-        z, w = _gauss_segment(lambda t: center + radius * np.exp(1j * t),
-                              lambda t: 1j * radius * np.exp(1j * t),
-                              0.0, 2.0 * math.pi, n, 2)
-        return cls(nodes=z, weights=w)
+        z, w = _arc(radius, 0.0, 2.0 * math.pi, n, 2)
+        return cls(nodes=center + z, weights=w)
 
     @classmethod
     def polyline(cls, vertices: Sequence[complex], n_per_edge: int = 50) -> "Contour":
@@ -127,13 +122,11 @@ class Contour:
         vertices = [complex(v) for v in vertices]
         if len(vertices) < 3:
             raise ConfigurationError("polyline contour needs at least 3 vertices")
+        t, w = _gauss_segment(0.0, 1.0, n_per_edge, 1)
         zs, ws = [], []
         for a, b in zip(vertices, vertices[1:] + vertices[:1]):
-            z, w = _gauss_segment(lambda t, a=a, b=b: a + t * (b - a),
-                                  lambda t, a=a, b=b: np.full_like(t, b - a, dtype=complex),
-                                  0.0, 1.0, n_per_edge, 1)
-            zs.append(z)
-            ws.append(w)
+            zs.append(a + t * (b - a))
+            ws.append(w * (b - a))
         return cls(nodes=np.concatenate(zs), weights=np.concatenate(ws))
 
     @classmethod

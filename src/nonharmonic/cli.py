@@ -7,8 +7,9 @@ Command shape:
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 invalid config
 (ConfigurationError), 3 numerical guard tripped (any other NonharmonicError,
-or a floating-point overflow inside a task), 4 internal error (any other
-exception).
+or a floating-point fault inside a task: OverflowError, or numpy's overflow,
+invalid or divide, raised on every lane), 4 internal error (any other
+exception).  summary.json writes a non-finite value as "inf", "-inf" or "nan".
 
 Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
@@ -36,6 +37,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -590,6 +592,15 @@ def _failure(exc: Exception) -> int:
     return code
 
 
+def _strict(value):
+    """value with each non-finite float as the string "inf", "-inf" or "nan": JSON has none."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _run(config_path: str, out_dir, seed) -> int:
     thread_record = threads.record()
     config = load_config(config_path)
@@ -598,6 +609,8 @@ def _run(config_path: str, out_dir, seed) -> int:
     msg = schema_violation(seed, CONFIG_SCHEMA["properties"]["seed"], "--seed")
     if msg is not None:
         raise ConfigurationError(msg)
+    import numpy as np
+
     from .model import ModelSpec, build_model
 
     mdl_block = config["model"]
@@ -619,7 +632,8 @@ def _run(config_path: str, out_dir, seed) -> int:
             f"output directory {out} cannot be made or written: {exc}") from exc
     model = build_model(spec)
     task = config["task"]
-    passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # exit 3, not nan
+        passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
 
     digest = config_digest(config, seed)
     csv_paths = []
@@ -630,7 +644,7 @@ def _run(config_path: str, out_dir, seed) -> int:
     summary_doc = {"task": task, "digest": digest, "seed": seed, "passed": passed,
                    "summary": summary, "csv": csv_paths, "threads": thread_record}
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary_doc, fh, indent=2, sort_keys=True, default=str)
+        json.dump(_strict(summary_doc), fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
     record = {"digest": digest, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

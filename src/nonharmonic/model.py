@@ -329,16 +329,9 @@ def s0_tail(model: ModelProblem, s: float) -> TailReport:
     terms = br ** (-s)
     N = model.N
     ks = np.arange(1, N + 1)
-    center = N
-    sums, increments = [], []
-    total = terms[center]
-    for k in ks:
-        inc = terms[center + k] + terms[center - k]
-        total += inc
-        sums.append(total)
-        increments.append(inc)
-    sums = np.array(sums)
-    increments = np.array(increments)
+    increments = terms[N + ks] + terms[N - ks]
+    # np.cumsum adds in sequence: S_k = S_{k-1} + increments_k, from S_0 = <0>^-s
+    sums = np.cumsum(np.concatenate(([terms[N]], increments)))[1:]
 
     if N >= 3:
         k_lo = max(1, N // 2)

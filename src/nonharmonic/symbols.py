@@ -206,23 +206,12 @@ def trim_window(tab: np.ndarray, from_margin: int, to_margin: int) -> np.ndarray
 # the operators D^(beta) and Delta^alpha
 # ---------------------------------------------------------------------------
 
-def _spectral_x_derivative(model: ModelProblem, rows: np.ndarray, order: int) -> np.ndarray:
-    """d^order/dx^order of the trigonometric interpolant, row-wise."""
-    if order == 0:
-        return rows
-    Q = model.Q
-    freqs = np.fft.fftfreq(Q, d=1.0 / Q)  # integer frequencies
-    mult = (2j * np.pi * freqs) ** order
-    if Q % 2 == 0 and order % 2 == 1:
-        mult[Q // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
-    return np.fft.ifft(np.fft.fft(rows, axis=-1) * mult, axis=-1)
-
-
 def apply_D(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
     """Derived derivative D^(beta) of a symbol, sampled on an extended window.
 
-    Ordinary x-derivatives are taken spectrally and recombined through the
-    triangular transform of the family q.  The result is cached on `sym`.
+    Ordinary x-derivatives are taken spectrally, one inverse FFT per order
+    from one forward FFT of the table, and recombined through the triangular
+    transform of the family q.  The result is cached on `sym`.
     """
     if beta == 0:
         return sym
@@ -232,11 +221,17 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
     tr = d_operator_transform(beta)
     margin = sym.available_margin(model)
     tab = sym.table(model, margin)
+    Q = model.Q
+    k = np.fft.fftfreq(Q, d=1.0 / Q)  # integer frequencies
     out = np.zeros_like(tab)
+    spectrum = np.fft.fft(tab, axis=-1)
     for j in range(1, beta + 1):
         coef = tr.Tinv[beta, j]
         if coef != 0:
-            out += coef * _spectral_x_derivative(model, tab, j)
+            mult = (2j * np.pi * k) ** j
+            if Q % 2 == 0 and j % 2 == 1:
+                mult[Q // 2] = 0.0  # the Nyquist mode has no well-defined odd derivative
+            out += coef * np.fft.ifft(spectrum * mult, axis=-1)
     return sym.keep(key, Symbol.from_table(model, out, margin, order=sym.order + sym.delta * beta,
                                            rho=sym.rho, delta=sym.delta,
                                            name=f"D^{beta}[{sym.name}]"))

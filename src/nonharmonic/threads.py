@@ -17,6 +17,7 @@ This module loads no numpy.
 
 from __future__ import annotations
 
+import contextvars
 import os
 
 from .errors import ConfigurationError
@@ -93,10 +94,11 @@ def side_by_side(work, n_items: int, use=lambda i, result: None) -> None:
     runs every item i with i % n == 0 and a pool of n - 1 threads the
     others, item i + n going to the pool when item i is read, so at most n
     results are alive.  An exception from any item reaches the caller once
-    the pool has ended.  One lane is a plain loop, which loads no
-    concurrent.futures.  Delta^alpha's items are its lanes, not its blocks:
-    a lane's blocks share its buffers, and two could run at once as items.
-    The contour's items are its node blocks."""
+    the pool has ended, and a helper item runs in a copy of the caller's
+    context, so its np.errstate holds on every lane.  One lane is a plain
+    loop, which loads no concurrent.futures.  Delta^alpha's items are its
+    lanes, not its blocks: a lane's blocks share its buffers, and two could
+    run at once as items.  The contour's items are its node blocks."""
     n = min(lanes(), n_items)
     if n <= 1:
         for i in range(n_items):
@@ -105,13 +107,13 @@ def side_by_side(work, n_items: int, use=lambda i, result: None) -> None:
     from concurrent.futures import ThreadPoolExecutor  # a few ms to load: only here
 
     with ThreadPoolExecutor(n - 1) as pool:
-        helped = {i: pool.submit(work, i) for i in range(1, n)}
+        helped = {i: pool.submit(contextvars.copy_context().run, work, i) for i in range(1, n)}
         for i in range(n_items):
             if i % n == 0:
                 use(i, work(i))
                 continue
             if i + n < n_items:
-                helped[i + n] = pool.submit(work, i + n)
+                helped[i + n] = pool.submit(contextvars.copy_context().run, work, i + n)
             # popped as it is read, so its result is dropped once used
             use(i, helped.pop(i).result())
 

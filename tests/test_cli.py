@@ -19,6 +19,14 @@ def write_config(tmp_path, doc, name="cfg.json"):
 BASE_MODEL = {"kind": "torus_derivative", "N": 8, "Q": 64}
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON has not."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_model_check_passes(tmp_path):
     cfg = write_config(tmp_path, {"model": {"kind": "h_derivative", "N": 8, "Q": 64, "h": 2.0},
                                   "task": "model-check", "seed": 1})
@@ -67,6 +75,15 @@ def test_floating_point_overflow_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: numerical guard tripped: OverflowError")
     assert len(err.splitlines()) == 1
+    # a numpy overflow, which would leave nan quadratic forms and a "pass"
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "garding",
+                                  "params": {"symbol": {"name": "constant", "value": 1e308},
+                                             "order": 0}}, name="garding.json")
+    assert run(cfg, out_dir=str(tmp_path / "numpy")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical guard tripped: FloatingPointError")
+    assert len(err.splitlines()) == 1
+    assert list((tmp_path / "numpy").iterdir()) == []
 
 
 _SYMBOL_ORDER = {"model": BASE_MODEL, "task": "symbol-order"}
@@ -372,6 +389,26 @@ def test_funcalc_zero_function_is_checked_against_zero(tmp_path):
     assert summary["passed"] and summary["summary"]["zero"]["errors"] == [0.0, 0.0, 0.0]
 
 
+def test_funcalc_of_an_x_dependent_symbol_reports_the_leading_term(tmp_path):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "funcalc",
+                                  "params": {"symbol": {"name": "x_modulated_bracket"},
+                                             "functions": ["inverse"],
+                                             "nodes_per_segment": 16}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
+    assert summary["multiplier_oracle_asserted"] is False
+    assert summary["inverse"]["monotone"] is None
+
+
+def test_lambda_multiplier_without_order_takes_the_models_order(tmp_path):
+    cfg = write_config(tmp_path, {"model": {"kind": "torus_laplacian", "N": 8, "Q": 64},
+                                  "task": "symbol-order",
+                                  "params": {"symbol": {"name": "lambda_multiplier"}}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
+    assert summary["expected_order"] == 2.0  # the Laplacian's; the registry default is 1
+
+
 def test_l2norm_of_a_zero_symbol_grows_by_zero(tmp_path):
     import warnings
 
@@ -392,9 +429,9 @@ def test_l2norm_growing_from_a_zero_norm_fails_with_nothing_on_stderr(tmp_path, 
                                              "truncations": [8, 16]}})
     assert run(cfg, out_dir=str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == ""
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
+    summary = strict_json((tmp_path / "out" / "summary.json").read_text())["summary"]
     assert summary["operator_norms"]["8"] == 0.0
-    assert summary["relative_growth_last_two"] == float("inf")
+    assert summary["relative_growth_last_two"] == "inf"
 
 
 def test_garding_and_parametrix_tasks(tmp_path):
@@ -544,6 +581,7 @@ def test_shipped_configs_all_pass(tmp_path):
     for cfg in sorted(cfg_dir.glob("*.json")):
         code = run(str(cfg), out_dir=str(tmp_path / cfg.stem))
         assert code == 0, cfg.name
+        strict_json((tmp_path / cfg.stem / "summary.json").read_text())
 
 
 # values swapped in for every key and item of a shipped config: each JSON type,

@@ -157,6 +157,16 @@ def test_s0_tail_counting_case(torus):
     assert not rep.convergent_looking
 
 
+def test_s0_tail_adds_its_partial_sums_in_sequence(hmodel):
+    rep = s0_tail(hmodel, 1.5)
+    terms = hmodel.bracket_val(hmodel.indices) ** -1.5
+    total, sums = terms[hmodel.N], []
+    for k in rep.ks:
+        total += terms[hmodel.N + k] + terms[hmodel.N - k]
+        sums.append(total)
+    assert np.array_equal(rep.partial_sums, sums)
+
+
 def test_s0_tail_convergent_case(torus):
     rep = s0_tail(torus, 2.0)
     # partial sums approach 1 + 2 sum_k (1 + 4 pi^2 k^2)^-1; the missing tail

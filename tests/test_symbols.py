@@ -127,6 +127,28 @@ def test_apply_D_exp_mode_eigenfunction(torus):
     assert np.max(np.abs(apply_D(torus, sym, 2).table(torus, 0))) / scale <= 1e-10
 
 
+@pytest.mark.parametrize("Q", [64, 63])
+def test_apply_D_sums_one_inverse_fft_per_order(Q):
+    # a random table fills every mode, the Nyquist mode of an even Q included,
+    # which an odd order zeroes
+    model = build_model(ModelSpec(kind="h_derivative", N=8, Q=Q, h=2.0))
+    rng = np.random.default_rng(24)
+    shape = (2 * (model.N + 3) + 1, Q)
+    tab = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sym = Symbol.from_table(model, tab, 3, order=1.0)
+    k = np.fft.fftfreq(Q, d=1.0 / Q)
+    for beta in range(1, 5):
+        Tinv = d_operator_transform(beta).Tinv
+        want = np.zeros_like(tab)
+        for j in range(1, beta + 1):
+            mult = (TWO_PI_I * k) ** j
+            if Q % 2 == 0 and j % 2 == 1:
+                mult[Q // 2] = 0.0
+            if Tinv[beta, j] != 0:
+                want += Tinv[beta, j] * np.fft.ifft(np.fft.fft(tab, axis=-1) * mult, axis=-1)
+        assert np.array_equal(apply_D(model, sym, beta).table(model, 3), want)
+
+
 def test_apply_D_beta_zero_identity(torus):
     sym = make_symbol("exp_mode", mode=1)
     assert apply_D(torus, sym, 0) is sym

@@ -119,6 +119,19 @@ def test_side_by_side_passes_on_a_helper_failure(monkeypatch, lanes):
     assert threading.active_count() == before  # the pool's threads have ended
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_side_by_side_keeps_the_callers_floating_point_mode(monkeypatch, lanes):
+    import numpy as np
+
+    use_lanes(monkeypatch, lanes)
+
+    def work(i):  # item 1 overflows; it runs on a helper at two lanes
+        return np.full(3, 1e308) * (10.0 if i == 1 else 1.0)
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        threads.side_by_side(work, 2)
+
+
 @pytest.mark.parametrize("lanes, n_items", [(1, 6), (2, 1), (4, 1), (2, 0)])
 def test_side_by_side_on_one_lane_loads_no_thread_pool(lanes, n_items):
     import subprocess
