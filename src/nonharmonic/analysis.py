@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EllipticityError, ConfigurationError
+from .errors import ConfigurationError, EllipticityError, NumericalConsistencyError
 from .model import ModelProblem, ModelSpec, build_model
 from .quantize import galerkin_matrix, kernel
 from .symbols import Symbol
@@ -50,9 +50,10 @@ def garding_estimate(model: ModelProblem, a: Symbol, m: float, trials: int = 200
                      seed: int = 0) -> GardingReport:
     """Estimate Garding constants for the real-part symbol of a.
 
-    Raises ConfigurationError for trials < 1, and EllipticityError when
+    Raises ConfigurationError for trials < 1, EllipticityError when
     A = Re a fails the positivity precheck |<xi>^m A^-1| <= C0 on the
-    sampled window.
+    sampled window, and NumericalConsistencyError when a quadratic form,
+    Sobolev or L2 value is not finite.
     """
     if trials < 1:
         raise ConfigurationError(f"Garding estimate needs trials >= 1, got {trials}")
@@ -81,6 +82,8 @@ def garding_estimate(model: ModelProblem, a: Symbol, m: float, trials: int = 200
         # grid-quadrature Sobolev/L2 norms through the starred pairing
         sob_sq[t] = float(np.real(np.sum(sob_weights * c * np.conj(star @ u))))
         l2_sq[t] = float(np.real(model.quad(np.abs(u) ** 2)))
+    if not np.isfinite((quad_forms, sob_sq, l2_sq)).all():
+        raise NumericalConsistencyError("Garding trial has a non-finite quadratic form or norm")
 
     # 1/C0, not the floor itself: 1/(1/floor) need not equal floor
     C1 = 1.0 / C0

@@ -23,9 +23,9 @@ import numpy as np
 from . import threads
 from .errors import (BranchCutError, ConfigurationError, EllipticityError,
                      SpectrumProximityError)
-from .model import ModelProblem
+from .model import ModelProblem, _read_only
 from .quantize import check_solvable, galerkin_matrix, symbol_of_matrix
-from .symbols import Symbol, apply_D, apply_Delta, trim_window
+from .symbols import Symbol, apply_D, apply_Delta
 
 # ---------------------------------------------------------------------------
 # contours
@@ -37,9 +37,7 @@ def _gauss_legendre(size: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per size;
     read-only, since every caller shares them."""
     t, w = np.polynomial.legendre.leggauss(size)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+    return _read_only(t), _read_only(w)
 
 
 def _gauss_segment(t0: float, t1: float, n: int, panels: int):
@@ -192,31 +190,29 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
     if not np.isfinite(ell_sup):
         raise EllipticityError("ellipticity sup is not finite")
 
-    # B_k tables at margin (margin - k); each Delta^g a is cached on a
-    b_tables = [inv_tab]
+    # one symbol per level B_k, over margin - k; each Delta^g a is cached on a,
+    # while each D^(g) B_k is read once (N = k + g), so none is reused
+    levels = [Symbol.from_table(model, inv_tab, margin, order=-m, rho=rho, delta=delta,
+                                name="B_0")]
     for N in range(1, n_terms + 1):
         tgt_margin = margin - N
         acc = np.zeros((2 * (model.N + tgt_margin) + 1, model.Q), dtype=complex)
         for k in range(N):
             g = N - k
-            Bk = Symbol.from_table(model, b_tables[k], margin - k,
-                                   order=-m - (rho - delta) * k, rho=rho, delta=delta,
-                                   name=f"B_{k}")
-            DBk = apply_D(model, Bk, g)
             term = (apply_Delta(model, a, g).table(model, tgt_margin)
-                    * DBk.table(model, tgt_margin))
+                    * apply_D(model, levels[k], g).table(model, tgt_margin))
             acc += term / math.factorial(g)
-        inv_here = trim_window(inv_tab, margin, tgt_margin)
-        b_tables.append(-inv_here * acc)
+        levels.append(Symbol.from_table(model, -levels[0].table(model, tgt_margin) * acc,
+                                        tgt_margin, order=-m - (rho - delta) * N, rho=rho,
+                                        delta=delta, name=f"B_{N}"))
 
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     terms = []
-    for k, tab in enumerate(b_tables):
-        cut = trim_window(tab, margin - k, out_margin)
+    for Bk in levels:
+        cut = Bk.table(model, out_margin)
         total += cut
-        terms.append(Symbol.from_table(model, cut.copy(), out_margin,
-                                       order=-m - (rho - delta) * k, rho=rho,
-                                       delta=delta, name=f"B_{k}"))
+        terms.append(Symbol.from_table(model, cut.copy(), out_margin, order=Bk.order,
+                                       rho=rho, delta=delta, name=Bk.name))
     sym = Symbol.from_table(model, total, out_margin, order=-m, rho=rho, delta=delta,
                             name=f"parametrix[{a.name};{n_terms}]")
     return ParametrixResult(symbol=sym, ellipticity_sup=ell_sup, terms=terms)

@@ -41,6 +41,14 @@ DEFAULT_MARGIN = 4
 _token_counter = itertools.count()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of `a`: the one place an array is made read-only, so
+    no caller can corrupt a cached or shared array through what it is given."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Parameters of a truncated model problem.
@@ -159,30 +167,22 @@ class ModelProblem:
     @cached_property
     def conj_u(self) -> np.ndarray:
         """conj(u), which the sequence-space norms pair against; read-only."""
-        cu = self.u.conj()
-        cu.flags.writeable = False
-        return cu
+        return _read_only(self.u.conj())
 
     @cached_property
     def conj_v(self) -> np.ndarray:
         """conj(v), which the forward transform pairs against; read-only."""
-        cv = self.v.conj()
-        cv.flags.writeable = False
-        return cv
+        return _read_only(self.v.conj())
 
     @cached_property
     def weighted_dual(self) -> np.ndarray:
         """w * conj(v): the left factor of every Galerkin matrix; read-only."""
-        wd = self.w * self.conj_v
-        wd.flags.writeable = False
-        return wd
+        return _read_only(self.w * self.conj_v)
 
     @cached_property
     def gram(self) -> np.ndarray:
         """G[eta, xi] = quad(u_xi * conj(u_eta)), the coefficient Gram matrix; read-only."""
-        g = (self.conj_u * self.w) @ self.u.T
-        g.flags.writeable = False
-        return g
+        return _read_only((self.conj_u * self.w) @ self.u.T)
 
     def basis_at(self, xs, xi: int, dual: bool = False) -> np.ndarray:
         """u_xi (v_xi if `dual`) sampled at arbitrary points xs in [0, 1]."""

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ShapeError, SpectrumProximityError, WindowExhaustedError, WZViolationError
-from .model import ModelProblem
+from .model import ModelProblem, _read_only
 from .symbols import Symbol, apply_D, apply_Delta, apply_Delta_star
 from .transform import CoeffVector, fourier, inverse
 
@@ -37,9 +37,7 @@ class GalerkinMatrix:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the finite section, computed on first use; read-only."""
-        spec = np.linalg.eigvals(self.matrix)
-        spec.flags.writeable = False
-        return spec
+        return _read_only(np.linalg.eigvals(self.matrix))
 
     def apply(self, c: CoeffVector) -> CoeffVector:
         if len(c) != self.matrix.shape[1]:
@@ -106,12 +104,8 @@ def kernel_apply(model: ModelProblem, K: KernelTable, f: np.ndarray) -> np.ndarr
 def galerkin_matrix(model: ModelProblem, sym: Symbol) -> GalerkinMatrix:
     """Matrix of Op(a) in the biorthogonal basis, cached per symbol and model.
     The cached arrays are read-only, so no caller can corrupt the cache."""
-    key = ("galerkin", model.token)
-    if key not in sym._cache:
-        M = model.weighted_dual @ (sym.table(model, 0) * model.u).T
-        M.flags.writeable = False
-        sym._cache[key] = GalerkinMatrix(matrix=M)
-    return sym._cache[key]
+    return sym.derived(("galerkin", model.token), lambda: GalerkinMatrix(
+        matrix=_read_only(model.weighted_dual @ (sym.table(model, 0) * model.u).T)))
 
 
 def check_solvable(A: np.ndarray, what: str):
@@ -182,8 +176,7 @@ def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int) -> Symbol:
     margin, out_margin = a.margin_after(model, terms - 1, f"adjoint with terms={terms}")
 
     # conj(a), cached on a, keeps its own D^(alpha) and Delta~^alpha from one call to the next
-    key = ("conj", margin, model.token)
-    conj_a = a._cache.get(key) or a.keep(key, Symbol.from_table(
+    conj_a = a.derived(("conj", margin, model.token), lambda: Symbol.from_table(
         model, np.conj(a.table(model, margin)), margin, order=a.order, rho=a.rho,
         delta=a.delta, name=f"conj[{a.name}]"))
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)

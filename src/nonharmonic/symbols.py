@@ -29,7 +29,7 @@ import numpy as np
 
 from . import threads
 from .errors import ConfigurationError, WindowExhaustedError
-from .model import DEFAULT_MARGIN, ModelProblem
+from .model import DEFAULT_MARGIN, ModelProblem, _read_only
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,8 @@ class Symbol:
     {-N-margin, ..., N+margin} of the model they were built from.
     A symbol must not be mutated once evaluated: its tables, Galerkin
     matrices and derived symbols (D^(beta), Delta^alpha, Delta~^alpha and
-    conj, see `keep`) are cached per model, and a cached value would go
-    stale.  They live as long as the symbol does.
+    conj) are cached per model by the one rule of `derived`, and a cached
+    value would go stale.  They live as long as the symbol does.
     """
 
     fn: Optional[Callable] = None
@@ -151,9 +151,7 @@ class Symbol:
                 raise WindowExhaustedError(
                     f"symbol {self.name!r} read at xi={xi}, valid window is +-{off}"
                 )
-            row = self._table[xi + off]  # a view: the table's own flags stay as they are
-            row.flags.writeable = False
-            return row
+            return _read_only(self._table[xi + off])
         if self.margin is not None and abs(xi) > model.N + self.margin:
             raise WindowExhaustedError(
                 f"symbol {self.name!r} read at xi={xi} beyond declared margin {self.margin}"
@@ -163,43 +161,36 @@ class Symbol:
 
     def table(self, model: ModelProblem, margin: int = 0) -> np.ndarray:
         """Sample table over {-N-margin, ..., N+margin}; cached per model.
-        An evaluator is called once per index, each result broadcast to the grid.
+        An evaluator is called once per index, each result broadcast to the grid;
+        a table-backed symbol gives the rows of its table in that window.
         The table is a read-only view, so no caller can corrupt a later hit
         or the Galerkin matrices and derived symbols computed from it."""
-        key = (model.token, margin)
-        if key in self._cache:
-            return self._cache[key]
+        return self.derived((model.token, margin), lambda: self._tabulate(model, margin))
+
+    def _tabulate(self, model: ModelProblem, margin: int) -> np.ndarray:
         self._check_model(model)
         if self.margin is not None and margin > self.margin:
             raise WindowExhaustedError(
                 f"symbol {self.name!r} has margin {self.margin}, requested {margin}"
             )
         if self._table is not None:
-            tab = trim_window(self._table, self.margin, margin)
-        else:
-            rows = model.window_scalars(margin)
-            tab = np.empty((len(rows), model.Q), dtype=complex)
-            for i, (xi, lam, br) in enumerate(rows):
-                tab[i] = self.fn(model.x, xi, lam, br)
-        tab = tab.view()  # an array handed to from_table keeps its own flags
-        tab.flags.writeable = False
-        self._cache[key] = tab
-        return tab
+            off = self.margin - margin
+            return _read_only(self._table[off: len(self._table) - off])
+        rows = model.window_scalars(margin)
+        tab = np.empty((len(rows), model.Q), dtype=complex)
+        for i, (xi, lam, br) in enumerate(rows):
+            tab[i] = self.fn(model.x, xi, lam, br)
+        return _read_only(tab)
 
-    def keep(self, key: tuple, derived: "Symbol") -> "Symbol":
-        """Cache `derived`, a table-backed symbol computed from this one,
-        under `key` = (operation, order or margin, model token).
-        Its table is made read-only, so no caller can corrupt a later hit."""
-        derived._table.flags.writeable = False
-        self._cache[key] = derived
-        return derived
-
-
-def trim_window(tab: np.ndarray, from_margin: int, to_margin: int) -> np.ndarray:
-    """Rows of a table over {-N-from_margin, ..., N+from_margin} restricted
-    to {-N-to_margin, ..., N+to_margin}."""
-    off = from_margin - to_margin
-    return tab[off: len(tab) - off] if off else tab
+    def derived(self, key: tuple, build: Callable):
+        """The value cached on this symbol under `key`, or else `build()`'s,
+        stored under `key` first.  A key ends in the model token: (token,
+        margin) for a table, (operation, order or margin, token) for the rest."""
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            self._cache[key] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +206,10 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
     """
     if beta == 0:
         return sym
-    key = ("D", beta, model.token)
-    if key in sym._cache:
-        return sym._cache[key]
+    return sym.derived(("D", beta, model.token), lambda: _derivative(model, sym, beta))
+
+
+def _derivative(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
     tr = d_operator_transform(beta)
     margin = sym.available_margin(model)
     tab = sym.table(model, margin)
@@ -232,9 +224,8 @@ def apply_D(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
             if Q % 2 == 0 and j % 2 == 1:
                 mult[Q // 2] = 0.0  # the Nyquist mode has no well-defined odd derivative
             out += coef * np.fft.ifft(spectrum * mult, axis=-1)
-    return sym.keep(key, Symbol.from_table(model, out, margin, order=sym.order + sym.delta * beta,
-                                           rho=sym.rho, delta=sym.delta,
-                                           name=f"D^{beta}[{sym.name}]"))
+    return Symbol.from_table(model, out, margin, order=sym.order + sym.delta * beta,
+                             rho=sym.rho, delta=sym.delta, name=f"D^{beta}[{sym.name}]")
 
 
 #: bytes of the coupling-tensor blocks alive at once, over all lanes, per BLAS
@@ -362,7 +353,7 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
             sym = syms[i]
             if res is None:
                 res = np.zeros((2 * out_off + 1, model.Q), complex)
-            out[i] = sym.keep(key, Symbol.from_table(
+            out[i] = sym.derived(key, lambda: Symbol.from_table(
                 model, res, out_margin, order=sym.order - sym.rho * alpha,
                 rho=sym.rho, delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]"))
     return out

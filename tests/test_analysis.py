@@ -3,7 +3,7 @@ import pytest
 
 from nonharmonic.analysis import (garding_estimate, hilbert_schmidt_norm,
                                   interpolation_constant, l2_operator_norm)
-from nonharmonic.errors import ConfigurationError, EllipticityError
+from nonharmonic.errors import ConfigurationError, EllipticityError, NumericalConsistencyError
 from nonharmonic.model import ModelSpec, build_model, s0_tail
 from nonharmonic.quantize import galerkin_matrix
 from nonharmonic.symbols import make_symbol
@@ -90,6 +90,14 @@ def test_garding_rejects_fewer_than_one_trial(torus, trials):
     with pytest.raises(ConfigurationError, match="trials >= 1"):
         garding_estimate(torus, sym, 2.0, trials=trials)
     assert sym._cache == {}  # raised before any table was sampled
+
+
+def test_garding_rejects_non_finite_quadratic_forms():
+    # the forms of a 1e308 multiplier overflow; without its own check the
+    # estimate passed with nan forms, C2 = 0 and no violation
+    model = build_model(ModelSpec(kind="torus_derivative", N=8, Q=64))
+    with np.errstate(all="ignore"), pytest.raises(NumericalConsistencyError, match="non-finite"):
+        garding_estimate(model, make_symbol("constant", value=1e308), 0.0, trials=20, seed=1)
 
 
 def test_interpolation_continuum_bounds(torus):

@@ -71,6 +71,8 @@ def test_bad_contour_parameters():
         Contour.keyhole_negative_axis(R=0.05)
     with pytest.raises(ConfigurationError):
         Contour.polyline([0.0, 1.0])
+    with pytest.raises(ConfigurationError, match="radius"):
+        Contour.circle(center=0.0, radius=0.0)
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -520,6 +522,17 @@ def test_fractional_power_cross_check_contour(torus):
     frac = fractional_power_symbol(torus, a, -0.5)
     rel = np.abs(res.symbol.table(torus, 0) - frac.table(torus, 0)) / np.abs(frac.table(torus, 0))
     assert np.max(rel) <= 1e-6
+
+
+@pytest.mark.parametrize("F,s,message", [
+    (lambda z: 1.0 / z, 0.0, "decay exponent must be negative"),
+    (lambda z: np.where(np.arange(len(z)) == 3, np.inf, 1.0 / z), -1.0, "not finite"),
+])
+def test_dunford_riesz_rejects_bad_functions(torus, F, s, message):
+    a = make_symbol("bracket_power", power=1.0)
+    contour = Contour.circle(center=0.0, radius=1.0, n=16)
+    with pytest.raises(ConfigurationError, match=message):
+        dunford_riesz(torus, a, F, contour, decay_exponent=s)
 
 
 def test_scalar_function_registry_guards():

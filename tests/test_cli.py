@@ -482,6 +482,7 @@ def test_report_empty_and_all_corrupt(tmp_path):
     corrupt.write_text("nope\nalso nope\n")
     assert report(str(corrupt), out_path=str(dest)) == 2
     assert report(str(tmp_path / "missing.jsonl")) == 2
+    assert report(str(empty), out_path=str(tmp_path / "missing" / "r.csv")) == 2
 
 
 @pytest.mark.parametrize("case", ["registry_is_a_directory", "registry_not_utf8",

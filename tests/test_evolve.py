@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,17 @@ def test_scheme_validation(torus):
         solve_ivp(torus, prob)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    pytest.param("ellipticity_gate", "strict", "unknown gate", id="gate"),
+    pytest.param("T", 0.0, "T > 0", id="T"),
+    pytest.param("steps", 0, "steps >= 1", id="steps"),
+])
+def test_problem_validation(torus, field, value, message):
+    prob = replace(dissipative_problem(torus), **{field: value})
+    with pytest.raises(ConfigurationError, match=message):
+        solve_ivp(torus, prob)
+
+
 def test_energy_bound_with_forcing_and_time_dependence(torus):
     def K_t(t):
         amp = -(1.0 + 0.3 * np.cos(2 * np.pi * t))
@@ -209,6 +222,47 @@ def test_condition_guard_runs_once_per_galerkin_array(torus, monkeypatch):
     calls.clear()
     solve_ivp(torus, dissipative_problem(torus, steps=20))  # a new symbol every call
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize("model_name", ["torus_derivative", "h_derivative_2"])
+def test_crank_nicolson_rebuilds_a_time_dependent_generator_per_half_step(models, model_name,
+                                                                          monkeypatch):
+    import nonharmonic.evolve as evolve
+    model = models[model_name]
+    steps, T = 30, 0.1
+    builds = []
+    build = evolve.galerkin_matrix
+    monkeypatch.setattr(evolve, "galerkin_matrix", lambda m, s: builds.append(1) or build(m, s))
+
+    def factory(t):  # a fresh symbol per call: every Galerkin matrix is a new build
+        scale = 1.0 + 5.0 * t
+        return Symbol(fn=lambda x, xi, lam, br: -scale * (1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+                      * br**2 + 0.0j, order=2.0, name=f"K({t:g})")
+
+    forcing_row = model.u_row(2)
+    prob = EvolutionProblem(symbol_factory=factory, u0=model.u_row(1), T=T, steps=steps,
+                            forcing=lambda t: np.cos(t) * forcing_row, order_m=2.0)
+    traj = solve_ivp(model, prob)
+    assert len(builds) == 2 * steps
+
+    # the reference rebuilds K(t) at both halves of every step, as solve_ivp does
+    n, dt = len(model.indices), T / steps
+    eye = np.eye(n)
+    coeffs = np.zeros((steps + 1, n), dtype=complex)
+    coeffs[0] = fourier(model, prob.u0).values
+    Kv = np.full_like(coeffs, np.nan)
+    for k in range(steps):
+        M = build(model, factory(traj.times[k])).matrix
+        Kv[k] = M @ coeffs[k]
+        f_half = fourier(model, prob.forcing(traj.times[k] + 0.5 * dt)).values
+        rhs = (eye + 0.5 * dt * M) @ coeffs[k] + dt * f_half
+        M = build(model, factory(traj.times[k + 1])).matrix
+        coeffs[k + 1] = np.linalg.solve(eye - 0.5 * dt * M, rhs)
+    Kv[-1] = M @ coeffs[-1]
+    assert np.array_equal(traj.coeffs, coeffs)
+    assert np.array_equal(traj.Kv, Kv)
+    reference = replace(traj, coeffs=coeffs, Kv=Kv)
+    assert np.array_equal(residual(model, prob, traj), residual(model, prob, reference))
 
 
 def test_time_step_guard_trips_on_singular_system(torus):

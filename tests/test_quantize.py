@@ -162,6 +162,14 @@ def test_compose_window_exhaustion(torus):
         compose_symbols(torus, narrow, make_symbol("exp_mode", mode=1), 3)
 
 
+def test_expansions_need_at_least_one_term(torus):
+    a = make_symbol("bracket_power", power=1.0)
+    with pytest.raises(WindowExhaustedError, match="terms >= 1"):
+        compose_symbols(torus, a, make_symbol("exp_mode", mode=1), 0)
+    with pytest.raises(WindowExhaustedError, match="terms >= 1"):
+        adjoint_symbol(torus, a, 0)
+
+
 def test_adjoint_real_multiplier_self_adjoint(torus):
     a = make_symbol("bracket_power", power=2.0)
     tau = adjoint_symbol(torus, a, 2).table(torus, 0)

@@ -110,6 +110,11 @@ def test_window_exhaustion_raises(torus):
         apply_Delta(torus, narrow, 2)
     with pytest.raises(WindowExhaustedError):
         narrow.table(torus, 3)
+    for xi in (torus.N + 2, -torus.N - 2):
+        with pytest.raises(WindowExhaustedError, match="valid window"):
+            narrow.values(torus, xi)
+    with pytest.raises(ConfigurationError, match="shape"):
+        Symbol.from_table(torus, tab, 2, order=1.0)
 
 
 def test_apply_D_annihilates_x_independent(torus):
