@@ -24,15 +24,39 @@ def forward_difference_table(model, sym, alpha, margin=0):
     return np.stack(rows)
 
 
-def test_family_invariants():
-    x = np.linspace(0, 1, 13)
+@pytest.mark.parametrize("Q", [13, 64])
+def test_family_invariants(Q):
     for star in (False, True):
-        q = _q_power(x, 1, star)
+        q = _q_power(Q, 1, star)
         assert np.max(np.abs(np.diag(q))) == 0.0
-        # periodic in y: multiplication preserves both built-in boundary domains
-        np.testing.assert_allclose(q[:, 0], q[:, -1], atol=1e-15)
-    np.testing.assert_array_equal(_q_power(x, 1, True), np.conj(_q_power(x, 1, False)))
+        # periodic in y: multiplication preserves both built-in boundary domains;
+        # q[0, k] = e_k and q[Q - k, 0] = e_{k-Q} for k = 1..Q-1
+        np.testing.assert_allclose(q[0, 1:], q[:0:-1, 0], atol=1e-15)
+    conj_q = np.conj(_q_power(Q, 1, False))
+    np.fill_diagonal(conj_q, 0.0)  # the power leaves +0 on the diagonal, where conj gives 0-0j
+    assert _q_power(Q, 1, True).tobytes() == conj_q.tobytes()
     assert _taylor_coefficients(1)[1] == TWO_PI_I
+
+
+def dense_q_power(Q, alpha, star):
+    """q^alpha (q~^alpha) exponentiated entry by entry on the model grid."""
+    x = np.arange(Q, dtype=float) / Q
+    q = np.exp(2j * np.pi * (x[None, :] - x[:, None])) - 1.0
+    return (np.conj(q) if star else q) ** alpha
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_q_power_closed_form_equals_the_dense_grid(star):
+    for Q in (2 ** k for k in range(1, 11)):  # x_j - x_i is exact: every bit, signed zeros too
+        for alpha in range(1, 5):
+            q = _q_power(Q, alpha, star)
+            assert q.shape == (Q, Q) and q.flags.c_contiguous
+            assert q.tobytes() == dense_q_power(Q, alpha, star).tobytes(), (Q, alpha)
+    for Q in (6, 10, 41, 63, 97, 129, 260):  # the angle is the rounded (j-i)/Q, not x_j - x_i
+        for alpha in range(1, 4):
+            q = _q_power(Q, alpha, star)
+            assert q.flags.c_contiguous
+            assert np.max(np.abs(q - dense_q_power(Q, alpha, star))) <= 2e-14, (Q, alpha)
 
 
 def test_d_operator_transform_closed_form():
@@ -382,6 +406,38 @@ def tensor_builds(monkeypatch):
     return refs
 
 
+@pytest.fixture
+def q_builds(monkeypatch):
+    """(Q, alpha, star) of every q^alpha built while the test runs."""
+    import nonharmonic.symbols as symbols
+
+    build, calls = symbols._q_power, []
+
+    def counted(Q, alpha, star):
+        calls.append((Q, alpha, star))
+        return build(Q, alpha, star)
+
+    monkeypatch.setattr(symbols, "_q_power", counted)
+    return calls
+
+
+def test_q_power_is_built_once_per_window_and_order(torus, q_builds):
+    zero = Symbol.from_table(torus, np.zeros((2 * (torus.N + 3) + 1, torus.Q), complex), 3,
+                             name="zero")
+    syms = mixed_margin_symbols(torus) + [zero]  # windows 4 and 5, and one of zeros alone
+    modulated = make_symbol("x_modulated_bracket", power=1.0)
+    built = []
+    for alpha in (1, 2):
+        apply_Delta_many(torus, syms, alpha)
+        apply_Delta_star(torus, modulated, alpha)
+        built += [(torus.Q, alpha, False)] * 2 + [(torus.Q, alpha, True)]
+        assert q_builds == built
+    for alpha in (1, 2):  # every symbol hits its cache
+        apply_Delta_many(torus, syms, alpha)
+        apply_Delta_star(torus, modulated, alpha)
+    assert q_builds == built
+
+
 def test_apply_Delta_many_names_the_exhausted_symbol(torus, tensor_builds):
     short = Symbol.from_table(torus, make_symbol("constant").table(torus, 1), 1, name="short")
     with pytest.raises(WindowExhaustedError, match="'short'"):
@@ -681,8 +737,8 @@ ZERO_TABLES = {  # identically zero symbols: a constant 0, and D^1 of an x-indep
 @pytest.mark.parametrize("label,apply", BLOCKED_OPS.items(), ids=list(BLOCKED_OPS))
 @pytest.mark.parametrize("zero", ZERO_TABLES.values(), ids=list(ZERO_TABLES))
 @pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
-def test_difference_of_a_zero_table_builds_no_tensor(models, tensor_builds, name, zero, label,
-                                                     apply):
+def test_difference_of_a_zero_table_builds_no_tensor(models, tensor_builds, q_builds, name, zero,
+                                                     label, apply):
     m = models[name]
     sym = zero(m)
     assert not sym.table(m, sym.available_margin(m)).any()
@@ -694,7 +750,7 @@ def test_difference_of_a_zero_table_builds_no_tensor(models, tensor_builds, name
         tab = got.table(m, margin)
         assert tab.shape == (2 * (m.N + margin) + 1, m.Q) and not tab.any()
         assert apply(m, sym, alpha) is got
-    assert tensor_builds == []
+    assert tensor_builds == [] and q_builds == []
 
 
 def test_mixed_window_contracts_only_the_nonzero_symbol(hmodel, tensor_builds):
