@@ -6,7 +6,9 @@ Command shape:
     nonharmonic report --registry PATH
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 invalid config
-(ConfigurationError), 3 numerical guard tripped (any other NonharmonicError,
+(ConfigurationError: also a config that is not UTF-8, nests deeper than
+json recurses or holds a number beyond a double, such as 1e400) or a
+closed stdout, 3 numerical guard tripped (any other NonharmonicError,
 or a floating-point fault inside a task: OverflowError, or numpy's overflow,
 invalid or divide, raised on every lane), 4 internal error (any other
 exception).  summary.json writes a non-finite value as "inf", "-inf" or "nan".
@@ -38,6 +40,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -237,16 +240,20 @@ def validate_config(config) -> None:
         raise ConfigurationError(f"config schema violation: {msg}")
 
 
-def _reject_constant(name: str):
-    # json reads NaN and +-Infinity, which are not JSON and pass every schema bound
-    raise ConfigurationError(f"{name} is not a JSON number")
+def _finite_float(literal: str) -> float:
+    # json reads NaN and +-Infinity, which are not JSON, and a literal beyond a
+    # double such as 1e400 as non-finite floats, which pass every schema bound
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{literal} is not a finite double")
+    return value
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=_reject_constant)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     validate_config(config)
     return config
@@ -576,6 +583,8 @@ def run(config_path: str, out_dir: str = None, seed: int = None) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
         return _run(config_path, out_dir, seed)
+    except BrokenPipeError:
+        raise  # a closed stdout, which `main` reports
     except Exception as exc:
         return _failure(exc)
 
@@ -711,9 +720,19 @@ def main(argv=None) -> int:
     p_rep.add_argument("--registry", required=True)
     p_rep.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(args.config, out_dir=args.out, seed=args.seed)
-    return report(args.registry, out_path=args.out)
+    try:
+        if args.command == "run":
+            code = run(args.config, out_dir=args.out, seed=args.seed)
+        else:
+            code = report(args.registry, out_path=args.out)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit: let that write go to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _failure(ConfigurationError(f"standard output cannot be written: {exc}"))
+    return code
 
 
 if __name__ == "__main__":

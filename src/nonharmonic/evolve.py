@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import pairwise
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,11 +92,6 @@ def _norms_of(coeffs: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(vals.real, 0.0))
 
 
-def _generator(model: ModelProblem, prob: EvolutionProblem, t: float) -> np.ndarray:
-    """Galerkin matrix of K(t)."""
-    return galerkin_matrix(model, prob.symbol_factory(t)).matrix
-
-
 def _forcing(model: ModelProblem, prob: EvolutionProblem, t: float) -> np.ndarray:
     """Coefficients of f(t); zero without forcing."""
     if prob.forcing is None:
@@ -111,17 +107,20 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
     times = np.linspace(0.0, prob.T, prob.steps + 1)
     gram = coefficient_gram(model)
     eye = np.eye(n)
-    step_mats = {}  # c -> (Galerkin array, eye + c M): the last one per coefficient
+    systems = {}  # c -> (Galerkin array, eye + c M): the last one per coefficient
 
-    def step_matrix(t: float, c: float, guard: bool):
-        """(M(t), eye + c M(t)), the latter built and guarded once per Galerkin array."""
-        M = _generator(model, prob, t)
-        if c not in step_mats or step_mats[c][0] is not M:
+    def generators(ts):
+        """K(t) for each t of ts, each built once, in order, when the walk reaches it."""
+        return (galerkin_matrix(model, prob.symbol_factory(t)).matrix for t in ts)
+
+    def system(M: np.ndarray, c: float) -> np.ndarray:
+        """eye + c M, once per Galerkin array and coefficient; guarded when c < 0 (implicit)."""
+        if c not in systems or systems[c][0] is not M:
             A = eye + c * M
-            if guard:
+            if c < 0:
                 check_solvable(A, "time-step system")
-            step_mats[c] = (M, A)
-        return step_mats[c]
+            systems[c] = (M, A)
+        return systems[c][1]
 
     coeffs = np.zeros((prob.steps + 1, n), dtype=complex)
     coeffs[0] = fourier(model, prob.u0).values
@@ -129,21 +128,19 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
     iterations = 0
 
     if prob.scheme == "crank_nicolson":
-        for k in range(prob.steps):
-            M, explicit = step_matrix(times[k], 0.5 * dt, guard=False)
+        # step k's implicit generator K(t_{k+1}) is step k + 1's explicit one
+        for k, (M, M_next) in enumerate(pairwise(generators(times))):
             Kv[k] = M @ coeffs[k]
-            rhs = explicit @ coeffs[k] + dt * _forcing(model, prob, times[k] + 0.5 * dt)
-            M, implicit = step_matrix(times[k + 1], -0.5 * dt, guard=True)
-            coeffs[k + 1] = np.linalg.solve(implicit, rhs)
-        Kv[-1] = M @ coeffs[-1]
+            rhs = system(M, 0.5 * dt) @ coeffs[k] + dt * _forcing(model, prob, times[k] + 0.5 * dt)
+            coeffs[k + 1] = np.linalg.solve(system(M_next, -0.5 * dt), rhs)
+        Kv[-1] = M_next @ coeffs[-1]
     elif prob.scheme == "backward_euler":
-        for k in range(prob.steps):
+        for k, M in enumerate(generators(times[1:])):
             rhs = coeffs[k] + dt * _forcing(model, prob, times[k + 1])
-            M, implicit = step_matrix(times[k + 1], -dt, guard=True)
-            coeffs[k + 1] = np.linalg.solve(implicit, rhs)
+            coeffs[k + 1] = np.linalg.solve(system(M, -dt), rhs)
             Kv[k + 1] = M @ coeffs[k + 1]
     else:  # picard
-        mats = np.stack([_generator(model, prob, t) for t in times])
+        mats = np.stack(list(generators(times)))
         fs = np.stack([_forcing(model, prob, t) for t in times])
         cur = np.tile(coeffs[0], (prob.steps + 1, 1)).astype(complex)
         prev_res = np.inf

@@ -142,7 +142,46 @@ def test_non_standard_json_constants_exit_2_with_one_line(tmp_path, capsys, valu
     doc = {"model": {"kind": "h_derivative", "N": 8, "Q": 64, "h": value}, "task": "model-check"}
     assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert err == f"error: invalid config: {json.dumps(value)} is not a JSON number\n"
+    assert err == f"error: invalid config: {json.dumps(value)} is not a finite double\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    # a byte that is not UTF-8
+    b'{"model": {"kind": "torus_derivative", "N": 8, "Q": 64}, "task": "model-check", "x": "\xff"}',
+    # arrays nested deeper than the parser recurses
+    b"[" * 100_000,
+], ids=["not_utf8", "nested_too_deep"])
+def test_config_bytes_that_are_not_utf8_json_exit_2_with_one_line(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert run(str(cfg), out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config: cannot read config {cfg}:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc,literal", [
+    ({"model": BASE_MODEL, "task": "evolve",
+      "params": {"generator": {"name": "bracket_power", "scale": -1.0}, "horizon": "X"}}, "1e400"),
+    ({"model": BASE_MODEL, "task": "symbol-order",
+      "params": {"symbol": {"name": "bracket_power"}, "expected_order": 5.0, "tolerance": "X"}},
+     "1e400"),
+    ({"model": BASE_MODEL, "task": "garding",
+      "params": {"symbol": {"name": "bracket_power"}, "order": 2.0, "min_c1": "X"}}, "-1e400"),
+    ({"model": {"kind": "torus_laplacian", "N": 8, "Q": 64, "m": "X"}, "task": "model-check"},
+     "1e400"),
+    ({"model": {"kind": "h_derivative", "N": 8, "Q": 64, "h": "X"}, "task": "model-check"},
+     "1e400"),
+], ids=["horizon", "tolerance", "min_c1", "m", "h"])
+def test_number_literals_beyond_a_double_exit_2_with_one_line(tmp_path, capsys, doc, literal):
+    # json reads 1e400 as inf without calling parse_constant
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace('"X"', literal))
+    assert run(str(cfg), out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid config: {literal} is not a finite double\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -504,6 +543,35 @@ def test_report_on_unusable_paths_exits_2_with_one_line(tmp_path, case):
     assert proc.stderr.startswith("error: invalid config:")
     assert len(proc.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["report", "run"])
+def test_closed_stdout_exits_2_with_one_line(tmp_path, command, unbuffered):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check"})
+    out = tmp_path / "out"
+    if command == "report":
+        assert run(cfg, out_dir=str(out)) == 0
+        record = (out / "registry.jsonl").read_text()
+        registry = tmp_path / "registry.jsonl"
+        registry.write_text(record * 2_000)  # more than one stdout buffer
+        args = ["report", "--registry", str(registry)]
+    else:
+        args = ["run", "--config", cfg, "--out", str(out)]
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nonharmonic", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid config: standard output cannot be written:")
+    assert len(proc.stderr.splitlines()) == 1  # no "Exception ignored" at interpreter exit
+    if command == "run":  # every artifact was written before the closing line
+        assert sorted(p.name for p in out.iterdir()) == ["model_check.csv", "registry.jsonl",
+                                                         "summary.json"]
 
 
 def test_run_into_unusable_out_dir_exits_2_before_the_model_is_built(tmp_path, capsys,

@@ -225,8 +225,8 @@ def test_condition_guard_runs_once_per_galerkin_array(torus, monkeypatch):
 
 
 @pytest.mark.parametrize("model_name", ["torus_derivative", "h_derivative_2"])
-def test_crank_nicolson_rebuilds_a_time_dependent_generator_per_half_step(models, model_name,
-                                                                          monkeypatch):
+def test_crank_nicolson_builds_each_time_dependent_generator_once(models, model_name,
+                                                                   monkeypatch):
     import nonharmonic.evolve as evolve
     model = models[model_name]
     steps, T = 30, 0.1
@@ -243,9 +243,9 @@ def test_crank_nicolson_rebuilds_a_time_dependent_generator_per_half_step(models
     prob = EvolutionProblem(symbol_factory=factory, u0=model.u_row(1), T=T, steps=steps,
                             forcing=lambda t: np.cos(t) * forcing_row, order_m=2.0)
     traj = solve_ivp(model, prob)
-    assert len(builds) == 2 * steps
+    assert len(builds) == steps + 1  # K(t_0) ... K(t_S), each once
 
-    # the reference rebuilds K(t) at both halves of every step, as solve_ivp does
+    # the reference rebuilds K(t) at both halves of every step; the bits are the same
     n, dt = len(model.indices), T / steps
     eye = np.eye(n)
     coeffs = np.zeros((steps + 1, n), dtype=complex)
@@ -261,6 +261,64 @@ def test_crank_nicolson_rebuilds_a_time_dependent_generator_per_half_step(models
     Kv[-1] = M @ coeffs[-1]
     assert np.array_equal(traj.coeffs, coeffs)
     assert np.array_equal(traj.Kv, Kv)
+    reference = replace(traj, coeffs=coeffs, Kv=Kv)
+    assert np.array_equal(residual(model, prob, traj), residual(model, prob, reference))
+
+
+@pytest.mark.parametrize("model_name", ["torus_derivative", "h_derivative_2"])
+@pytest.mark.parametrize("scheme,builds_expected", [("backward_euler", 30), ("picard", 31)])
+def test_backward_euler_and_picard_build_each_time_dependent_generator_once(
+        models, model_name, scheme, builds_expected, monkeypatch):
+    import nonharmonic.evolve as evolve
+    model = models[model_name]
+    steps, T = 30, 0.1
+    order = 0.0 if scheme == "picard" else 2.0
+    builds = []
+    build = evolve.galerkin_matrix
+    monkeypatch.setattr(evolve, "galerkin_matrix", lambda m, s: builds.append(1) or build(m, s))
+
+    def factory(t):  # a fresh symbol per call: every Galerkin matrix is a new build
+        scale = 1.0 + 5.0 * t
+        return Symbol(fn=lambda x, xi, lam, br: -scale * (1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+                      * br**order + 0.0j, order=order, name=f"K({t:g})")
+
+    forcing_row = model.u_row(2)
+    prob = EvolutionProblem(symbol_factory=factory, u0=model.u_row(1), T=T, steps=steps,
+                            scheme=scheme, forcing=lambda t: np.cos(t) * forcing_row,
+                            order_m=order)
+    traj = solve_ivp(model, prob)
+    assert len(builds) == builds_expected  # backward Euler never reads K(t_0)
+
+    # the reference builds K(t) afresh wherever a step reads it
+    n, dt = len(model.indices), T / steps
+    eye = np.eye(n)
+    coeffs = np.zeros((steps + 1, n), dtype=complex)
+    coeffs[0] = fourier(model, prob.u0).values
+    Kv = np.full_like(coeffs, np.nan)
+    if scheme == "backward_euler":
+        for k in range(steps):
+            rhs = coeffs[k] + dt * fourier(model, prob.forcing(traj.times[k + 1])).values
+            M = build(model, factory(traj.times[k + 1])).matrix
+            coeffs[k + 1] = np.linalg.solve(eye - dt * M, rhs)
+            Kv[k + 1] = M @ coeffs[k + 1]
+    else:
+        mats = np.stack([build(model, factory(t)).matrix for t in traj.times])
+        fs = np.stack([fourier(model, prob.forcing(t)).values for t in traj.times])
+        cur = np.tile(coeffs[0], (steps + 1, 1))
+        for it in range(1, traj.picard_iterations + 1):
+            rhs = np.einsum("kij,kj->ki", mats, cur) + fs
+            integ = np.zeros_like(cur)
+            for k in range(steps):  # the trapezoid sums, added in sequence
+                integ[k + 1] = integ[k] + 0.5 * dt * (rhs[k] + rhs[k + 1])
+            new = coeffs[0][None, :] + integ
+            res = float(np.max(np.abs(new - cur)))
+            cur = new
+        assert res < 1e-10
+        coeffs = cur
+        for k in range(steps + 1):
+            Kv[k] = mats[k] @ coeffs[k]
+    assert np.array_equal(traj.coeffs, coeffs)
+    assert np.array_equal(traj.Kv, Kv, equal_nan=True)  # backward Euler records no K(t_0) v_0
     reference = replace(traj, coeffs=coeffs, Kv=Kv)
     assert np.array_equal(residual(model, prob, traj), residual(model, prob, reference))
 
