@@ -7,8 +7,8 @@ Command shape:
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 invalid config
 (ConfigurationError: also a config that is not UTF-8, nests deeper than
-json recurses or holds a number beyond a double, such as 1e400) or a
-closed stdout, 3 numerical guard tripped (any other NonharmonicError,
+json recurses or holds a number beyond a double, such as 1e400 or a
+400-digit integer) or a closed stdout, 3 numerical guard tripped (any other NonharmonicError,
 or a floating-point fault inside a task: OverflowError, or numpy's overflow,
 invalid or divide, raised on every lane), 4 internal error (any other
 exception).  summary.json writes a non-finite value as "inf", "-inf" or "nan".
@@ -240,19 +240,25 @@ def validate_config(config) -> None:
         raise ConfigurationError(f"config schema violation: {msg}")
 
 
-def _finite_float(literal: str) -> float:
-    # json reads NaN and +-Infinity, which are not JSON, and a literal beyond a
-    # double such as 1e400 as non-finite floats, which pass every schema bound
-    value = float(literal)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{literal} is not a finite double")
-    return value
+def _finite(parse):
+    """A json hook that reads a literal with `parse`, refusing one beyond a double.
+
+    json reads NaN and +-Infinity, which are not JSON, and a literal such as
+    1e400 as non-finite floats, which pass every schema bound; an integer
+    literal past a double's range is no number a task can take either.
+    """
+    def read(literal: str):
+        if not math.isfinite(float(literal)):
+            raise ConfigurationError(f"{literal} is not a finite double")
+        return parse(literal)
+    return read
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+            config = json.load(fh, parse_constant=_finite(float), parse_float=_finite(float),
+                               parse_int=_finite(int))
     except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     validate_config(config)

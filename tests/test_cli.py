@@ -174,7 +174,13 @@ def test_config_bytes_that_are_not_utf8_json_exit_2_with_one_line(tmp_path, caps
      "1e400"),
     ({"model": {"kind": "h_derivative", "N": 8, "Q": 64, "h": "X"}, "task": "model-check"},
      "1e400"),
-], ids=["horizon", "tolerance", "min_c1", "m", "h"])
+    ({"model": BASE_MODEL, "task": "evolve",
+      "params": {"generator": {"name": "bracket_power", "scale": -1.0}, "horizon": "X"}},
+     "1" + "0" * 400),
+    ({"model": BASE_MODEL, "task": "evolve",
+      "params": {"generator": {"name": "bracket_power", "scale": -1.0}, "steps": "X"}},
+     "1" + "0" * 5000),
+], ids=["horizon", "tolerance", "min_c1", "m", "h", "integer_horizon", "5000_digit_steps"])
 def test_number_literals_beyond_a_double_exit_2_with_one_line(tmp_path, capsys, doc, literal):
     # json reads 1e400 as inf without calling parse_constant
     cfg = tmp_path / "cfg.json"
