@@ -241,12 +241,9 @@ def validate_config(config) -> None:
 
 
 def _finite(parse):
-    """A json hook that reads a literal with `parse`, refusing one beyond a double.
-
-    json reads NaN and +-Infinity, which are not JSON, and a literal such as
-    1e400 as non-finite floats, which pass every schema bound; an integer
-    literal past a double's range is no number a task can take either.
-    """
+    """A json hook that reads a literal with `parse` and refuses one beyond a
+    double: json reads NaN and +-Infinity (not JSON) and 1e400 as non-finite
+    floats, which pass every schema bound, and no task takes a 400-digit int."""
     def read(literal: str):
         if not math.isfinite(float(literal)):
             raise ConfigurationError(f"{literal} is not a finite double")
