@@ -123,7 +123,7 @@ def interpolation_constant(model: ModelProblem, s: float, t: float, eps: float,
 
 def hilbert_schmidt_norm(model: ModelProblem, a: Symbol) -> float:
     """Hilbert-Schmidt norm of the kernel, by grid quadrature in both slots."""
-    K = kernel(model, a).values
+    K = kernel(model, a)
     return float(np.sqrt(np.real(np.einsum("i,ij,j->", model.w, np.abs(K) ** 2, model.w))))
 
 

@@ -146,8 +146,6 @@ CONFIG_SCHEMA = {
 
 def fmt(x) -> str:
     """One CSV cell: integers as-is, reals with 17 significant digits."""
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, int):
         return str(x)
     if isinstance(x, str):

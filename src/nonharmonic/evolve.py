@@ -140,7 +140,7 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
             coeffs[k + 1] = np.linalg.solve(system(M, -dt), rhs)
             Kv[k + 1] = M @ coeffs[k + 1]
     else:  # picard
-        mats = np.stack(list(generators(times)))
+        mats = np.fromiter(generators(times), dtype=(complex, (n, n)), count=prob.steps + 1)
         fs = np.stack([_forcing(model, prob, t) for t in times])
         cur = np.tile(coeffs[0], (prob.steps + 1, 1)).astype(complex)
         prev_res = np.inf
@@ -175,15 +175,20 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
 
 def _gronwall_C2(model: ModelProblem, prob: EvolutionProblem, seed: int) -> float:
     """The largest Garding constant C2 of -Re K at t = 0, T/2 and T (0 under
-    the literal gate).  It is computed once per model, seed and problem
-    data and kept on the problem, which `energy_check` and
-    `uniqueness_probe` of one problem then share."""
+    the literal gate).  A sample that is the same symbol as an earlier one
+    is fitted once: its fit would repeat the earlier one.  C2 is computed
+    once per model, seed and problem data and kept on the problem, which
+    `energy_check` and `uniqueness_probe` of one problem then share."""
     key = (model.token, seed, prob.symbol_factory, prob.T, prob.order_m, prob.ellipticity_gate)
     if key not in prob._gronwall:
         C2 = 0.0
         if prob.ellipticity_gate != "literal":
+            fitted = []
             for t in (0.0, prob.T / 2.0, prob.T):
                 sym = prob.symbol_factory(t)
+                if any(sym is f for f in fitted):
+                    continue
+                fitted.append(sym)
                 neg = Symbol.from_table(model, -sym.table(model, 0), 0,
                                         order=prob.order_m, name=f"-K({t:g})")
                 try:

@@ -252,16 +252,10 @@ class TailReport:
     convergent_looking: bool
 
 
-def build_model(spec: ModelSpec, check: bool = True) -> ModelProblem:
-    """Instantiate a model problem from closed-form eigen-data.
-
-    With check=True (the default) the ModelSpec invariants are enforced; tests
-    that deliberately probe aliasing pass check=False.
-    """
-    if check:
-        spec.validate()
-    elif spec.kind not in KINDS:
-        raise ConfigurationError(f"unknown model kind {spec.kind!r}")
+def build_model(spec: ModelSpec) -> ModelProblem:
+    """Instantiate a model problem from closed-form eigen-data, once the
+    ModelSpec invariants hold."""
+    spec.validate()
 
     Q = spec.Q
     x = np.arange(Q, dtype=float) / Q

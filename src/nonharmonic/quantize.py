@@ -45,13 +45,6 @@ class GalerkinMatrix:
         return CoeffVector(self.matrix @ c.values)
 
 
-@dataclass
-class KernelTable:
-    """Samples K(x_i, y_j) of the Schwartz kernel on the grid."""
-
-    values: np.ndarray
-
-
 def op_apply(model: ModelProblem, sym: Symbol, f: np.ndarray) -> np.ndarray:
     """Apply Op(a) to a grid function through the quantization sum."""
     return op_apply_coeff(model, sym, fourier(model, f))
@@ -86,19 +79,19 @@ def symbol_of_matrix(model: ModelProblem, M: np.ndarray, order: float = 0.0,
     return Symbol.from_table(model, tab, 0, order=order, rho=rho, delta=delta, name=name)
 
 
-def kernel(model: ModelProblem, sym: Symbol) -> KernelTable:
-    """Schwartz kernel K(x, y) = sum_xi u_xi(x) a(x, xi) conj(v_xi(y))."""
+def kernel(model: ModelProblem, sym: Symbol) -> np.ndarray:
+    """Schwartz kernel K(x, y) = sum_xi u_xi(x) a(x, xi) conj(v_xi(y)) on
+    the grid, as the (Q, Q) array K[i, j] = K(x_i, y_j)."""
     tab = sym.table(model, 0)
-    K = np.einsum("kx,kx,ky->xy", model.u, tab, model.conj_v, optimize=True)
-    return KernelTable(values=K)
+    return np.einsum("kx,kx,ky->xy", model.u, tab, model.conj_v, optimize=True)
 
 
-def kernel_apply(model: ModelProblem, K: KernelTable, f: np.ndarray) -> np.ndarray:
+def kernel_apply(model: ModelProblem, K: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Apply an operator through its kernel: g(x) = quad_y K(x, y) f(y)."""
     f = np.asarray(f)
     if f.shape != (model.Q,):
         raise ShapeError(f"grid function has shape {f.shape}, expected ({model.Q},)")
-    return K.values @ (model.w * f)
+    return K @ (model.w * f)
 
 
 def galerkin_matrix(model: ModelProblem, sym: Symbol) -> GalerkinMatrix:

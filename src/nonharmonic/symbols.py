@@ -250,15 +250,13 @@ def _derivative(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
 BLOCK_BYTES = 4 << 20
 
 
-def coupling_tensor(model: ModelProblem, star: bool, alpha: int,
-                    basis_w: np.ndarray, dual_conj: np.ndarray, q_pow: np.ndarray,
+def coupling_tensor(basis_w: np.ndarray, dual_conj: np.ndarray, q_pow: np.ndarray,
                     product: np.ndarray, out: np.ndarray) -> np.ndarray:
     """C[xi, eta, x] = quad_y(q^alpha(x, y) conj(dual_eta(y)) basis_xi(y)),
     built into `out` for the rows xi of `basis_w` = w·basis and eta of
-    `dual_conj` = conj(dual), given `q_pow`, q^alpha (q~^alpha if `star`)
-    on the grid.  `product` is scratch; it and `out` are (xi, eta, Q)
-    arrays the caller owns.  `star` and `alpha` name the tensor for the
-    traces and tests that wrap this builder.
+    `dual_conj` = conj(dual), given `q_pow`, the (Q, Q) q^alpha (or
+    q~^alpha) on the grid.  `product` is scratch; it and `out` are
+    (xi, eta, Q) arrays the caller owns.
 
     The steps are those einsum takes for "xy,ey,gy,y->xge" over (q^alpha,
     conj(dual), basis, w) along the path its optimizer picks for every
@@ -267,8 +265,9 @@ def coupling_tensor(model: ModelProblem, star: bool, alpha: int,
     operands in einsum's order, so C has its bits.
     (Below Q = 32 the optimizer may pick another path, whose bits may
     differ in the last place.)"""
+    Q = len(q_pow)
     np.multiply(basis_w[:, None, :], dual_conj[None, :, :], out=product)
-    np.matmul(product.reshape(-1, model.Q), q_pow.T, out=out.reshape(-1, model.Q))
+    np.matmul(product.reshape(-1, Q), q_pow.T, out=out.reshape(-1, Q))
     return out
 
 
@@ -305,8 +304,7 @@ def _coupled_rows(model: ModelProblem, star: bool, alpha: int,
         product, tensor = buffers[k]
         for rows in blocks[k::n_lanes]:
             n = rows.stop - rows.start
-            C = coupling_tensor(model, star, alpha, B_w[rows], D_conj, q_pow,
-                                product[:n], tensor[:n])
+            C = coupling_tensor(B_w[rows], D_conj, q_pow, product[:n], tensor[:n])
             for w, s in zip(weighted, summed):
                 np.einsum("gex,ex->gx", C, w, out=s[rows])
 
@@ -439,7 +437,8 @@ def estimate_order(model: ModelProblem, sym: Symbol, rho: float, delta: float) -
     if np.count_nonzero(sel) < 3:
         sel = model.indices != 0
     log_br = np.log(model.bracket_val(model.indices)[sel])
-    if len(np.unique(log_br)) < 2:
+    # min/max, not np.unique: numpy's first unique call imports numpy.ma (8-16 ms)
+    if log_br.size < 2 or log_br.min() == log_br.max():
         raise ConfigurationError(f"order fit needs two distinct <xi> off xi = 0; N={N} has fewer")
 
     implied, values = [], {}

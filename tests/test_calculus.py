@@ -145,6 +145,12 @@ def test_parametrix_zero_symbol_guard(torus):
         parametrix(torus, bad, 2.0, 1.0, 0.0, 1)
 
 
+def test_parametrix_overflowing_ellipticity_sup_raises(torus):
+    # <xi>^1e6 overflows off xi = 0, so the sup |a^-1| <xi>^m is not finite
+    with np.errstate(over="ignore"), pytest.raises(EllipticityError, match="not finite"):
+        parametrix(torus, make_symbol("bracket_power", power=2.0), 1e6, 1.0, 0.0, 1)
+
+
 # ---------------------------------------------------------------------------
 # parameter ellipticity
 # ---------------------------------------------------------------------------

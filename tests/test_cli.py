@@ -252,6 +252,20 @@ def test_run_does_not_load_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_symbol_order_does_not_load_numpy_ma(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import sys",
+        "import nonharmonic.cli as cli",
+        "assert cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0",
+        "assert 'numpy.ma' not in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(root / "configs" / "symbol_order.json"), str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_every_exported_name_resolves_through_the_lazy_loader():
     import nonharmonic
 
@@ -351,8 +365,9 @@ def test_evolve_estimates_the_gronwall_constant_once(tmp_path, monkeypatch):
                         lambda *a, **kw: calls.append(a[1].name) or estimate(*a, **kw))
     cfg = Path(__file__).resolve().parent.parent / "configs" / "evolve.json"
     assert run(str(cfg), out_dir=str(tmp_path / "out")) == 0
-    # one estimate at t = 0, T/2 and T, shared by the energy check and the uniqueness probe
-    assert calls == ["-K(0)", "-K(0.05)", "-K(0.1)"]
+    # the generator is one symbol at t = 0, T/2 and T, so one estimate, shared by
+    # the energy check and the uniqueness probe
+    assert calls == ["-K(0)"]
 
 
 def test_shipped_configs_reproduce_csv_digests(tmp_path):

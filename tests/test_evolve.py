@@ -138,6 +138,56 @@ def test_energy_bound_with_forcing_and_time_dependence(torus):
     assert rep.C_prime >= 0.0
 
 
+def test_gronwall_constant_fits_each_distinct_generator_sample_once(torus, monkeypatch):
+    import nonharmonic.evolve as evolve
+
+    estimate, calls = evolve.garding_estimate, []
+    monkeypatch.setattr(evolve, "garding_estimate",
+                        lambda *a, **kw: calls.append(a[1].name) or estimate(*a, **kw))
+
+    def K_t(t):
+        return Symbol(fn=lambda x, xi, lam, br: np.full_like(x, -(1.0 + t) * br**2, dtype=complex),
+                      order=2.0, name="K(t)")
+
+    shared = neg_laplace_symbol()
+    C2 = {}
+    for label, factory in [("shared", lambda t: shared), ("fresh", lambda t: neg_laplace_symbol()),
+                           ("time_dependent", K_t)]:
+        calls.clear()
+        prob = EvolutionProblem(symbol_factory=factory, u0=torus.u_row(1), T=0.1, steps=10,
+                                order_m=2.0)
+        C2[label] = energy_check(torus, prob, solve_ivp(torus, prob), seed=3).C2
+        expected = ["-K(0)"] if label == "shared" else ["-K(0)", "-K(0.05)", "-K(0.1)"]
+        assert calls == expected, label
+    # one fit of a shared sample gives the bits of three fits of equal samples
+    # (C2 of -bracket^2 is a roundoff-sized positive value, not a plain zero)
+    assert C2["shared"] == C2["fresh"] > 0
+
+
+def test_picard_keeps_one_stack_of_time_dependent_generators(torus):
+    import tracemalloc
+
+    def K0(t):
+        return Symbol(fn=lambda x, xi, lam, br: -(1.0 + t) * (1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+                      + 0.0j, order=0.0, name="K0(t)")
+
+    def problem(steps):
+        return EvolutionProblem(symbol_factory=K0, u0=torus.u_row(1), T=1.0, steps=steps,
+                                scheme="picard", order_m=0.0)
+
+    solve_ivp(torus, problem(2))  # the model's own cached data is not the stack's
+    steps, n = 400, len(torus.indices)
+    tracemalloc.start()
+    try:
+        traj = solve_ivp(torus, problem(steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.picard_iterations < 50
+    # one (S + 1, n, n) stack of K(t_k), not a list of the matrices and a stacked copy
+    assert peak < 1.5 * (steps + 1) * n * n * 16
+
+
 def test_uniqueness_probe(torus):
     prob = dissipative_problem(torus, steps=100)
     rep = uniqueness_probe(torus, prob, seed=3)

@@ -48,9 +48,10 @@ def test_biorthogonality_all_models(models):
         assert dev <= 1e-13, name
 
 
-def test_biorthogonality_aliasing_reported_not_masked():
+def test_biorthogonality_aliasing_reported_not_masked(monkeypatch):
     spec = ModelSpec(kind="torus_derivative", N=8, Q=16)  # Q = 2N violates Q >= 2(2N+1)
-    m = build_model(spec, check=False)
+    monkeypatch.setattr(ModelSpec, "validate", lambda self: None)
+    m = build_model(spec)
     assert check_biorthogonality(m) > 0.1
 
 
@@ -176,6 +177,20 @@ def test_s0_tail_convergent_case(torus):
     assert rep.partial_sums[-1] <= direct <= rep.partial_sums[-1] + tail_bound
     assert rep.convergent_looking
     assert rep.fitted_decay == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("s,decay", [(2.0, 2.0), (-1.0, 0.0)])
+def test_s0_tail_too_short_to_fit_reads_the_exponent(s, decay):
+    # N = 2 gives two increments, too few for a slope: the decay is s itself, floored at 0
+    rep = s0_tail(build_model(ModelSpec(kind="torus_derivative", N=2, Q=64)), s)
+    assert rep.fitted_decay == decay and rep.convergent_looking == (decay > 1.05)
+
+
+def test_s0_tail_underflowing_increments_fit_no_slope(torus):
+    # <xi>^-1e6 underflows to 0 off xi = 0, so the log fit has no finite data
+    rep = s0_tail(torus, 1e6)
+    assert np.all(rep.increments == 0.0)
+    assert rep.fitted_decay == 0.0 and not rep.convergent_looking
 
 
 def test_s0_tail_laplacian_same_scale(laplacian):

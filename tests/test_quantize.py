@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from nonharmonic.errors import SpectrumProximityError, WindowExhaustedError, WZViolationError
+from nonharmonic.errors import (ShapeError, SpectrumProximityError, WindowExhaustedError,
+                                WZViolationError)
 from nonharmonic.model import ModelSpec, build_model
 from nonharmonic.quantize import (adjoint_oracle, adjoint_symbol, band_limited, check_solvable,
                                   compose_symbols, composition_oracle,
                                   extract_symbol, galerkin_matrix, inner_window, kernel,
                                   kernel_apply, op_apply, symbol_of_matrix)
 from nonharmonic.symbols import Symbol, make_symbol
-from nonharmonic.transform import fourier
+from nonharmonic.transform import CoeffVector, fourier
 
 FIVE_SYMBOLS = [
     ("bracket_power", {"power": 1.0}),
@@ -74,6 +75,25 @@ def test_extraction_rejects_wz_violation():
         extract_symbol(tiny, lambda g: g.copy())
 
 
+def test_symbol_of_matrix_rejects_wz_violation():
+    # |u_xi(x)| = h^x reaches 1e-300^(7/8) on the grid
+    tiny = build_model(ModelSpec(kind="h_derivative", N=1, Q=8, h=1e-300))
+    with pytest.raises(WZViolationError):
+        symbol_of_matrix(tiny, np.eye(len(tiny.indices), dtype=complex))
+
+
+def test_galerkin_apply_rejects_a_coefficient_vector_of_another_length(torus):
+    G = galerkin_matrix(torus, make_symbol("constant", value=1.0))
+    with pytest.raises(ShapeError):
+        G.apply(CoeffVector(np.zeros(len(torus.indices) - 1)))
+
+
+def test_kernel_apply_rejects_a_grid_function_of_another_shape(torus):
+    K = kernel(torus, make_symbol("constant", value=1.0))
+    with pytest.raises(ShapeError):
+        kernel_apply(torus, K, np.zeros(torus.Q + 1))
+
+
 def test_kernel_reproducing_property(models):
     rng = np.random.default_rng(1)
     one = make_symbol("constant", value=1.0)
@@ -85,13 +105,13 @@ def test_kernel_reproducing_property(models):
 
 def test_kernel_rank_one_and_h_factorization(torus, hmodel):
     ind = make_symbol("mode_indicator", mode=1)
-    K = kernel(torus, ind).values
+    K = kernel(torus, ind)
     expected = np.outer(torus.u_row(1), torus.v[1 + torus.N].conj())
     np.testing.assert_allclose(K, expected, atol=1e-13)
 
     one = make_symbol("constant", value=1.0)
-    Kh = kernel(hmodel, one).values
-    Kt = kernel(torus, one).values
+    Kh = kernel(hmodel, one)
+    Kt = kernel(torus, one)
     x, y = hmodel.x[:, None], hmodel.x[None, :]
     np.testing.assert_allclose(Kh, 2.0 ** (x - y) * Kt, atol=1e-9)
 

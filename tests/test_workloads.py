@@ -40,32 +40,41 @@ def test_benchmark_library_tasks_pass(workloads, workload):
     assert [(r.name, r.ok, r.error) for r in results] == [(t.name, True, "") for t in tasks]
 
 
+def record_coupling_tensors(symbols, monkeypatch):
+    """The alpha of every q^alpha and the row count of every coupling tensor
+    built while the test runs.  At N = 16 each window is one block, so each
+    window builds one q^alpha and one tensor."""
+    build_q, alphas = symbols._q_power, []
+    build_c, tensors = symbols.coupling_tensor, []
+    monkeypatch.setattr(symbols, "_q_power",
+                        lambda Q, alpha, star: alphas.append(alpha) or build_q(Q, alpha, star))
+    monkeypatch.setattr(symbols, "coupling_tensor",
+                        lambda *args: tensors.append(len(args[0])) or build_c(*args))
+    return alphas, tensors
+
+
 def test_difference_calculus_pass_builds_six_coupling_tensors(workloads, monkeypatch):
     import nonharmonic.symbols as symbols
 
-    build, alphas = symbols.coupling_tensor, []
-    monkeypatch.setattr(symbols, "coupling_tensor",
-                        lambda *args, **kw: alphas.append(args[2]) or build(*args, **kw))
+    alphas, tensors = record_coupling_tensors(symbols, monkeypatch)
     model = workloads.library_model("difference_calculus", 16)
     for task in workloads.library_tasks("difference_calculus", model, workloads.task_seed(5)):
         assert workloads.run_task(task).ok, task.name
     # symbol_order, compose and parametrix each build Delta^1 and Delta^2 once: a
     # higher truncation order reuses the differences its symbol cached at the lower one
-    assert sorted(alphas) == [1, 1, 1, 2, 2, 2]
+    assert sorted(alphas) == [1, 1, 1, 2, 2, 2] and len(tensors) == 6
 
 
 def test_twisted_timedep_pass_builds_two_coupling_tensors(workloads, monkeypatch):
     import nonharmonic.symbols as symbols
 
-    build, alphas = symbols.coupling_tensor, []
-    monkeypatch.setattr(symbols, "coupling_tensor",
-                        lambda *args, **kw: alphas.append(args[2]) or build(*args, **kw))
+    alphas, tensors = record_coupling_tensors(symbols, monkeypatch)
     model = workloads.library_model("twisted_timedep", 16)
     for task in workloads.library_tasks("twisted_timedep", model, workloads.task_seed(5)):
         assert workloads.run_task(task).ok, task.name
     # the x-modulated adjoint builds Delta~^1 and Delta~^2; the lambda_multiplier
     # adjoint builds none: D^(1) and D^(2) of conj(lambda) are identically zero
-    assert sorted(alphas) == [1, 2]
+    assert sorted(alphas) == [1, 2] and len(tensors) == 2
 
 
 def test_benchmark_metrics_name_package_functions():
