@@ -8,22 +8,24 @@ Command shape:
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 invalid config
 (ConfigurationError: also a config that is not UTF-8, nests deeper than
 json recurses or holds a number beyond a double, such as 1e400 or a
-400-digit integer) or a closed stdout, 3 numerical guard tripped (any other NonharmonicError,
-or a floating-point fault inside a task: OverflowError, or numpy's overflow,
-invalid or divide, raised on every lane), 4 internal error (any other
-exception).  summary.json writes a non-finite value as "inf", "-inf" or "nan".
+400-digit integer) or an output that cannot be written (a CSV, the run's
+record, the report, or a closed or full stdout), 3 numerical guard tripped
+(any other NonharmonicError, or a floating-point fault inside a task:
+OverflowError, or numpy's overflow, invalid or divide, raised on every
+lane), 4 internal error (any other exception).  summary.json writes a
+non-finite value as "inf", "-inf" or "nan".
 
 Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
-byte-identical CSV files.  The env var NONHARMONIC_THREADS caps the compute
-threads: NONHARMONIC_THREADS=k sets every BLAS variable that is unset to k,
-and the row blocks of Delta^alpha and the contour-node inversions of the
-functional calculus run on as many lanes (`threads.side_by_side`) as fit in
-k beside the BLAS threads (k lanes at OPENBLAS_NUM_THREADS=1).  0 or unset
-means automatic: the BLAS picks its thread count, and the lanes fill the
-usable cores it leaves.  A value that is not a non-negative integer exits 2
-before anything is written.  The lanes and the thread variables go to the
-`threads` block of summary.json and of the registry record, never to a CSV.
+byte-identical CSV files, whatever NONHARMONIC_THREADS is.  A lane is one
+BLAS thread: before numpy loads, the CLI sets every BLAS variable that is
+unset to 1 (one the user set is kept, and above 1 may move the last
+digits), and the row blocks of Delta^alpha and the contour-node inversions
+of the functional calculus run on NONHARMONIC_THREADS lanes
+(`threads.side_by_side`), one per usable core when it is 0 or unset.  A
+value that is not a non-negative integer exits 2 before anything is
+written.  The lanes and the thread variables go to the `threads` block of
+summary.json and of the registry record, never to a CSV.
 
 A config is checked against CONFIG_SCHEMA and the params schema of its
 task by `schema_violation`, a validator in this module, not a library: it
@@ -47,9 +49,6 @@ from pathlib import Path
 
 from . import __version__, threads
 from .errors import ConfigurationError, NonharmonicError
-
-TASKS = ("model-check", "transform-check", "symbol-order", "compose", "parametrix",
-         "funcalc", "garding", "l2norm", "evolve")
 
 _SYMBOL_SCHEMA = {
     "type": "object",
@@ -118,6 +117,8 @@ _PARAMS_SCHEMAS = {
                               "gate": {"enum": ["dissipative", "literal", "off"]}},
                "required": ["generator"], "additionalProperties": False},
 }
+
+TASKS = tuple(_PARAMS_SCHEMAS)
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -583,11 +584,11 @@ _RUNNERS = {
 def run(config_path: str, out_dir: str = None, seed: int = None) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
-        return _run(config_path, out_dir, seed)
-    except BrokenPipeError:
-        raise  # a closed stdout, which `main` reports
+        passed, line = _run(config_path, out_dir, seed)
     except Exception as exc:
         return _failure(exc)
+    print(line)  # an OSError here is stdout's, which `main` reports
+    return 0 if passed else 1
 
 
 def _failure(exc: Exception) -> int:
@@ -611,7 +612,8 @@ def _strict(value):
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _run(config_path: str, out_dir, seed) -> int:
+def _run(config_path: str, out_dir, seed):
+    """Execute one experiment; returns whether it passed and its status line."""
     thread_record = threads.record()
     config = load_config(config_path)
     if seed is None:
@@ -646,32 +648,33 @@ def _run(config_path: str, out_dir, seed) -> int:
         passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
 
     digest = config_digest(config, seed)
-    csv_paths = []
-    for name, header, rows in artifacts:
-        path = out / name
-        write_csv(path, header, rows)
-        csv_paths.append(str(path))
+    csv_paths = [str(out / name) for name, _, _ in artifacts]
     summary_doc = {"task": task, "digest": digest, "seed": seed, "passed": passed,
                    "summary": summary, "csv": csv_paths, "threads": thread_record}
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(_strict(summary_doc), fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
     record = {"digest": digest, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "version": __version__, "task": task, "passed": passed, "csv": csv_paths,
               "threads": thread_record}
-    with open(out / "registry.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    try:
+        for name, header, rows in artifacts:
+            path = out / name
+            write_csv(path, header, rows)
+        path = out / "summary.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_strict(summary_doc), fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
+        path = out / "registry.jsonl"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigurationError(f"{path} cannot be written: {exc}") from exc
 
     status = "pass" if passed else "FAIL"
-    print(f"{task}: {status} (digest {digest}, artifacts in {out})")
-    return 0 if passed else 1
+    return passed, f"{task}: {status} (digest {digest}, artifacts in {out})"
 
 
 def report(registry_path: str, out_path: str = None) -> int:
     """Aggregate a registry file into a one-line-per-run CSV summary."""
-    header = ["digest", "timestamp", "version", "task", "passed"]
-    rows, corrupt, total = [], 0, 0
+    rows, corrupt, total = [["digest", "timestamp", "version", "task", "passed"]], 0, 0
     try:
         with open(registry_path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -691,17 +694,14 @@ def report(registry_path: str, out_path: str = None) -> int:
         return _failure(ConfigurationError(f"registry {registry_path} cannot be read: {exc}"))
     if total > 0 and corrupt == total:
         return _failure(ConfigurationError(f"every entry of registry {registry_path} is corrupt"))
-    out = sys.stdout
-    if out_path:
-        try:
-            out = open(out_path, "w", newline="", encoding="utf-8")
-        except OSError as exc:
-            return _failure(ConfigurationError(f"report {out_path} cannot be written: {exc}"))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    if out_path:
-        out.close()
+    if not out_path:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)  # `main` reports an OSError
+        return 0
+    try:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    except OSError as exc:
+        return _failure(ConfigurationError(f"report {out_path} cannot be written: {exc}"))
     return 0
 
 
@@ -726,8 +726,8 @@ def main(argv=None) -> int:
             code = run(args.config, out_dir=args.out, seed=args.seed)
         else:
             code = report(args.registry, out_path=args.out)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-    except BrokenPipeError as exc:
+        sys.stdout.flush()  # a closed or full stdout fails here, not at interpreter exit
+    except OSError as exc:
         # the interpreter flushes stdout again at exit: let that write go to /dev/null
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -244,9 +244,9 @@ def _derivative(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
                              rho=sym.rho, delta=sym.delta, name=f"D^{beta}[{sym.name}]")
 
 
-#: bytes of the coupling-tensor blocks alive at once, over all lanes, per BLAS
-#: thread: every window at N <= 16 (Q = 8N) is one block, a window at N = 32
-#: is five or six at one lane, and memory stays bounded as N grows
+#: bytes of the coupling-tensor blocks alive at once, over all lanes: every
+#: window at N <= 16 (Q = 8N) is one block, a window at N = 32 is five or six
+#: at one lane, and memory stays bounded as N grows
 BLOCK_BYTES = 4 << 20
 
 
@@ -276,21 +276,16 @@ def _coupled_rows(model: ModelProblem, star: bool, alpha: int,
     """sum_eta C[xi, eta, x] weighted[eta, x] over the rows xi of B_out,
     for each array of `weighted`, with C the coupling tensor of B_out and
     D_in.  C is built and contracted in blocks of rows xi: the whole window
-    if it fits in the budget of BLOCK_BYTES per BLAS thread, else blocks of
-    the budget over the lanes of `threads.side_by_side`, lane k taking
-    every lanes-th block from the k-th.  The calling thread allocates every
-    array a block needs, one set per lane reused over its blocks, and the
-    rows each block contracts into, so no lane allocates and the blocks
-    alive at once stay within the budget."""
+    if it fits in BLOCK_BYTES, else blocks of BLOCK_BYTES over the lanes of
+    `threads.side_by_side`, lane k taking every lanes-th block from the
+    k-th.  The calling thread allocates every array a block needs, one set
+    per lane reused over its blocks, and the rows each block contracts
+    into, so no lane allocates and the blocks alive at once stay within
+    BLOCK_BYTES."""
     n_lanes = threads.lanes()
-    # a lane whose BLAS runs several threads (at most the thread cap) takes a
-    # block as large per thread: a few rows are too small a product for them
-    budget = BLOCK_BYTES * min(threads.blas_threads(),
-                               threads.setting() or threads.usable_cores())
     Q, n_out, n_in = model.Q, len(B_out), len(D_in)
     row_bytes = Q * n_in * 16
-    if n_out * row_bytes > budget:
-        budget //= n_lanes
+    budget = BLOCK_BYTES if n_out * row_bytes <= BLOCK_BYTES else BLOCK_BYTES // n_lanes
     blocks = threads.blocks(n_out, row_bytes, budget)
     n_lanes = min(n_lanes, len(blocks))
     shape = (blocks[0].stop, n_in, Q)  # the first block is a longest one
@@ -324,12 +319,12 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
     tensor depends on the window but not on the symbol, so it serves every
     symbol that misses the cache over the same input margin.  It is built
     and contracted in blocks of output rows xi (`_coupled_rows`): all
-    lanes' blocks together take at most BLOCK_BYTES per BLAS thread, in
-    arrays the calling thread owns, and none is kept.  Every block is built from the whole window's w·b,
-    conj(d) and q^alpha by the same operations, in the same order, as
-    those rows of the whole tensor, and contracted into its own rows of the
-    result.  That the BLAS product then gives each row the same bits is
-    pinned by the tests.
+    lanes' blocks together take at most BLOCK_BYTES, in arrays the calling
+    thread owns, and none is kept.  Every block is built from the whole
+    window's w·b, conj(d) and q^alpha by the same operations, in the same
+    order, as those rows of the whole tensor, and contracted into its own
+    rows of the result.  That the BLAS product then gives each row the same
+    bits is pinned by the tests.
 
     A symbol whose input table is identically zero has Delta^alpha = 0: it
     gets a zero table with the margin, order, name and cache entry of any

@@ -1,16 +1,15 @@
 """The thread setting, read in one place, and the lanes that share work.
 
-NONHARMONIC_THREADS caps the compute threads: the lanes that compute the
-row blocks of a difference operator, or invert the contour nodes of the
-functional calculus, side by side (`side_by_side`, the one place the
-package starts a thread), times the BLAS threads of each lane.
-The CLI sets every BLAS variable that is unset to the setting before
-numpy loads, and the lanes take the threads the BLAS leaves:
-NONHARMONIC_THREADS=k runs one lane of k BLAS threads, or k lanes when
-the BLAS is held to one thread.  0 or unset means automatic: the BLAS
-picks its own thread count, and the lanes fill the usable cores it leaves
-(one lane when it takes them all).  Any other value that is not a
-non-negative integer is a ConfigurationError.
+A lane is one BLAS thread.  NONHARMONIC_THREADS=k runs k lanes: the lanes
+compute the row blocks of a difference operator, or invert the contour
+nodes of the functional calculus, side by side (`side_by_side`, the one
+place the package starts a thread).  0 or unset means one lane per usable
+core.  Any other value that is not a non-negative integer is a
+ConfigurationError.  The CLI sets every BLAS variable that is unset to 1
+before numpy loads (`cap_blas`), so each lane's BLAS runs one thread and a
+run writes the same bytes at every setting.  A library caller that loads
+numpy itself should set OPENBLAS_NUM_THREADS=1 first, for the CLI's bytes
+and so that the lanes do not each start a BLAS thread per core.
 
 This module loads no numpy.
 """
@@ -28,9 +27,6 @@ VARIABLE = "NONHARMONIC_THREADS"
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                   "NUMEXPR_NUM_THREADS")
 
-#: the variables an OpenBLAS or MKL build takes its thread count from, first one first
-_BLAS_COUNT_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
 
 def setting() -> int:
     """NONHARMONIC_THREADS as an integer >= 0; 0 when unset or empty."""
@@ -47,12 +43,11 @@ def setting() -> int:
 
 
 def cap_blas() -> None:
-    """Set each BLAS variable that is unset to the thread setting, if it is
-    positive.  Has an effect only before numpy is first imported."""
-    n = setting()
-    if n > 0:
-        for var in BLAS_VARIABLES:
-            os.environ.setdefault(var, str(n))
+    """Check the thread setting, then set each BLAS variable that is unset
+    to 1.  Has an effect only before numpy is first imported."""
+    setting()
+    for var in BLAS_VARIABLES:
+        os.environ.setdefault(var, "1")
 
 
 def usable_cores() -> int:
@@ -62,23 +57,9 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def blas_threads() -> int:
-    """The BLAS's thread count as its variables give it; the usable cores,
-    its default, when none is a positive integer."""
-    for var in _BLAS_COUNT_VARIABLES:
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return n
-    return usable_cores()
-
-
 def lanes() -> int:
-    """The number of lanes: as many as fit, with blas_threads() each, in the
-    thread setting, or in the usable cores if it is 0; at least one."""
-    return max(1, (setting() or usable_cores()) // blas_threads())
+    """The number of lanes: the thread setting, or the usable cores if it is 0."""
+    return setting() or usable_cores()
 
 
 def blocks(n_rows: int, row_bytes: int, block_bytes: int) -> list:

@@ -10,6 +10,18 @@ from nonharmonic.model import ModelSpec, build_model
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
+
+@pytest.fixture(autouse=True)
+def keep_blas_variables(monkeypatch):
+    """Undo what `cli.main` sets in the test process: each BLAS variable that is unset."""
+    from nonharmonic.threads import BLAS_VARIABLES
+
+    for var in BLAS_VARIABLES:
+        if var not in os.environ:
+            monkeypatch.setenv(var, "")  # so that the variable is removed after the test
+            monkeypatch.delenv(var)
+
+
 STANDARD_SPECS = {
     "torus_derivative": ModelSpec(kind="torus_derivative", N=16, Q=128),
     "h_derivative_2": ModelSpec(kind="h_derivative", N=16, Q=128, h=2.0),
@@ -63,9 +75,8 @@ def closed_form_rows(model, lo, hi, dual=False):
 
 
 def use_lanes(monkeypatch, n):
-    """Set n lanes of one BLAS thread each, whatever the test run's BLAS variables."""
+    """Set n lanes."""
     from nonharmonic.threads import lanes
 
     monkeypatch.setenv("NONHARMONIC_THREADS", str(n))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert lanes() == n

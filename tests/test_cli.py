@@ -311,9 +311,8 @@ def test_thread_cap_set_before_numpy_loads():
         "assert 'numpy' not in sys.modules",
     ])
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS")}
-    env["NONHARMONIC_THREADS"] = "1"
+           if k not in ("NONHARMONIC_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
@@ -370,9 +369,10 @@ def test_evolve_estimates_the_gronwall_constant_once(tmp_path, monkeypatch):
     assert calls == ["-K(0)"]
 
 
-def test_shipped_configs_reproduce_csv_digests(tmp_path):
-    # byte-for-byte reproduction holds at a fixed BLAS thread count; one
-    # thread is the reference setting the digests were recorded at
+@pytest.mark.parametrize("setting", [None, "1", "2"], ids=["unset", "1", "2"])
+def test_shipped_configs_reproduce_csv_digests(tmp_path, setting):
+    # the CLI holds the BLAS to one thread, so every lane count writes the
+    # recorded bytes when no BLAS variable is set
     root = Path(__file__).resolve().parent.parent
     script = "\n".join([
         "import hashlib, json, pathlib, sys",
@@ -386,9 +386,10 @@ def test_shipped_configs_reproduce_csv_digests(tmp_path):
         "print(json.dumps(digests))",
     ])
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS")}
-    env["NONHARMONIC_THREADS"] = "1"
+           if k not in ("NONHARMONIC_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    if setting is not None:
+        env["NONHARMONIC_THREADS"] = setting
     proc = subprocess.run([sys.executable, "-c", script, str(root / "configs"), str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -593,6 +594,33 @@ def test_closed_stdout_exits_2_with_one_line(tmp_path, command, unbuffered):
     if command == "run":  # every artifact was written before the closing line
         assert sorted(p.name for p in out.iterdir()) == ["model_check.csv", "registry.jsonl",
                                                          "summary.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("case", ["report_out", "report_stdout", "run_stdout", "run_csv"])
+def test_full_device_exits_2_with_one_line(tmp_path, case):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check"})
+    registry = tmp_path / "first" / "registry.jsonl"
+    assert run(cfg, out_dir=str(registry.parent)) == 0
+    out = tmp_path / "out"
+    args, what = {
+        "report_out": (["report", "--registry", str(registry), "--out", "/dev/full"],
+                       "report /dev/full"),
+        "report_stdout": (["report", "--registry", str(registry)], "standard output"),
+        "run_stdout": (["run", "--config", cfg, "--out", str(out)], "standard output"),
+        "run_csv": (["run", "--config", cfg, "--out", str(out)], str(out / "model_check.csv")),
+    }[case]
+    if case == "run_csv":
+        out.mkdir()
+        (out / "model_check.csv").symlink_to("/dev/full")
+    with open("/dev/full" if case.endswith("stdout") else os.devnull, "w") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "nonharmonic", *args], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: invalid config: {what} cannot be written:")
+    assert len(proc.stderr.splitlines()) == 1
+    if case.startswith("run"):  # the run's record is written after its CSVs
+        assert (out / "summary.json").exists() == (case == "run_stdout")
 
 
 def test_run_into_unusable_out_dir_exits_2_before_the_model_is_built(tmp_path, capsys,

@@ -16,15 +16,6 @@ def test_setting_reads_a_non_negative_integer(monkeypatch, raw, expected):
     assert threads.setting() == expected
 
 
-@pytest.mark.parametrize("raw", ["-1", "two", "1.5", "auto"])
-def test_setting_rejects_anything_else(monkeypatch, raw):
-    monkeypatch.setenv(threads.VARIABLE, raw)
-    with pytest.raises(ConfigurationError, match=threads.VARIABLE):
-        threads.setting()
-    with pytest.raises(ConfigurationError):
-        threads.lanes()
-
-
 @pytest.fixture
 def no_thread_variables(monkeypatch):
     for var in (threads.VARIABLE, *threads.BLAS_VARIABLES):
@@ -33,41 +24,50 @@ def no_thread_variables(monkeypatch):
     return monkeypatch
 
 
-def test_blas_threads_follow_the_variable_the_blas_reads_first(no_thread_variables):
+@pytest.mark.parametrize("raw", ["-1", "two", "1.5", "auto"])
+def test_setting_rejects_anything_else(no_thread_variables, raw):
+    no_thread_variables.setenv(threads.VARIABLE, raw)
+    with pytest.raises(ConfigurationError, match=threads.VARIABLE):
+        threads.setting()
+    with pytest.raises(ConfigurationError):
+        threads.lanes()
+    with pytest.raises(ConfigurationError):
+        threads.cap_blas()
+    assert all(var not in os.environ for var in threads.BLAS_VARIABLES)  # checked first
+
+
+def test_lanes_are_the_setting_or_the_usable_cores(no_thread_variables):
     monkeypatch = no_thread_variables
-    assert threads.blas_threads() == threads.usable_cores()  # the BLAS's own default
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert threads.blas_threads() == 3
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert threads.blas_threads() == 1
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "auto")  # not a count: the next variable is
-    assert threads.blas_threads() == 3
-
-
-def test_lanes_times_blas_threads_stay_within_the_setting(no_thread_variables):
-    monkeypatch, cores = no_thread_variables, threads.usable_cores()
-    assert threads.lanes() == 1  # the BLAS takes every core
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert threads.lanes() == cores
+    assert threads.lanes() == threads.usable_cores()
+    monkeypatch.setenv(threads.VARIABLE, "0")
+    assert threads.lanes() == threads.usable_cores()
     monkeypatch.setenv(threads.VARIABLE, "3")
     assert threads.lanes() == 3
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert threads.lanes() == 1
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-    assert threads.lanes() == 1  # never fewer than one
+    for var in threads.BLAS_VARIABLES:  # whatever the BLAS variables say
+        monkeypatch.setenv(var, "4")
+    assert threads.lanes() == 3
+    monkeypatch.delenv(threads.VARIABLE)
+    assert threads.lanes() == threads.usable_cores()
 
 
-def test_cap_blas_sets_the_unset_blas_variables_to_the_setting(no_thread_variables):
+def test_lanes_default_to_the_cpu_count_without_an_affinity_call(no_thread_variables):
     monkeypatch = no_thread_variables
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert threads.lanes() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("raw", [None, "0", "2"])
+def test_cap_blas_sets_the_unset_blas_variables_to_one(no_thread_variables, raw):
+    monkeypatch = no_thread_variables
+    if raw is not None:
+        monkeypatch.setenv(threads.VARIABLE, raw)
     threads.cap_blas()
-    assert all(var not in os.environ for var in threads.BLAS_VARIABLES)  # automatic
-    monkeypatch.setenv(threads.VARIABLE, "2")
+    assert [os.environ[var] for var in threads.BLAS_VARIABLES] == ["1"] * 4
+    for var in threads.BLAS_VARIABLES:
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # a variable already set is kept
     threads.cap_blas()
-    assert [os.environ[var] for var in threads.BLAS_VARIABLES] == ["2"] * 4
-    assert threads.lanes() == 1  # the BLAS takes both threads
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # a variable already set is kept
-    threads.cap_blas()
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1" and threads.lanes() == 2
+    assert [os.environ[var] for var in threads.BLAS_VARIABLES] == ["1", "2", "1", "1"]
 
 
 def test_record_names_the_lanes_and_every_thread_variable(monkeypatch):
