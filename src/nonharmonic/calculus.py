@@ -178,7 +178,8 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
         B_N = -a^-1 sum_{k<N} (1/(N-k)!) (Delta^(N-k) a)(D^(N-k) B_k).
 
     The composition expansion forces the 1/gamma! factor: with it each level
-    cancels the next order of sigma(Op(a)Op(B)) - 1 exactly.
+    cancels the next order of sigma(Op(a)Op(B)) - 1 exactly.  The type
+    (rho, delta) sets only B_N's declared order -m - (rho - delta) N.
     """
     margin, out_margin = a.margin_after(model, n_terms, f"parametrix with n_terms={n_terms}")
 
@@ -192,8 +193,7 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
 
     # one symbol per level B_k, over margin - k; each Delta^g a is cached on a,
     # while each D^(g) B_k is read once (N = k + g), so none is reused
-    levels = [Symbol.from_table(model, inv_tab, margin, order=-m, rho=rho, delta=delta,
-                                name="B_0")]
+    levels = [Symbol.from_table(model, inv_tab, margin, order=-m, name="B_0")]
     for N in range(1, n_terms + 1):
         tgt_margin = margin - N
         acc = np.zeros((2 * (model.N + tgt_margin) + 1, model.Q), dtype=complex)
@@ -203,8 +203,7 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
                     * apply_D(model, levels[k], g).table(model, tgt_margin))
             acc += term / math.factorial(g)
         levels.append(Symbol.from_table(model, -levels[0].table(model, tgt_margin) * acc,
-                                        tgt_margin, order=-m - (rho - delta) * N, rho=rho,
-                                        delta=delta, name=f"B_{N}"))
+                                        tgt_margin, order=-m - (rho - delta) * N, name=f"B_{N}"))
 
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     terms = []
@@ -212,8 +211,8 @@ def parametrix(model: ModelProblem, a: Symbol, m: float, rho: float, delta: floa
         cut = Bk.table(model, out_margin)
         total += cut
         terms.append(Symbol.from_table(model, cut.copy(), out_margin, order=Bk.order,
-                                       rho=rho, delta=delta, name=Bk.name))
-    sym = Symbol.from_table(model, total, out_margin, order=-m, rho=rho, delta=delta,
+                                       name=Bk.name))
+    sym = Symbol.from_table(model, total, out_margin, order=-m,
                             name=f"parametrix[{a.name};{n_terms}]")
     return ParametrixResult(symbol=sym, ellipticity_sup=ell_sup, terms=terms)
 
@@ -248,14 +247,19 @@ def certify_parameter_ellipticity(model: ModelProblem, a: Symbol, m: float,
     Samples colliding with values of a are re-drawn with a small jitter, at
     most three times, and each re-draw is checked before giving up.
     Optionally verifies the resolvent derivative identity d_lambda R = R^2
-    by central differences.
+    by central differences.  Raises ConfigurationError for an empty
+    `lambdas` or an order m <= 0, where the weight |l|^(1/m) is undefined.
     """
+    lambdas = np.asarray(lambdas, dtype=complex)
+    if len(lambdas) == 0 or not m > 0:
+        raise ConfigurationError("parameter ellipticity needs a lambda sample and an order "
+                                 f"m > 0, got {len(lambdas)} samples and m = {m}")
     rng = rng or np.random.default_rng(0)
     tab = a.table(model, 0)
     br = model.bracket_val(model.indices)
     sup = 0.0
     scale = max(1.0, float(np.max(np.abs(tab))))
-    for lam in np.asarray(lambdas, dtype=complex):
+    for lam in lambdas:
         redraws = 0
         while np.min(np.abs(tab - lam)) <= 1e-9 * scale:
             if redraws == 3:
@@ -267,7 +271,7 @@ def certify_parameter_ellipticity(model: ModelProblem, a: Symbol, m: float,
 
     deriv_err = None
     if check_derivative:
-        lam0 = complex(np.asarray(lambdas, dtype=complex)[len(lambdas) // 2])
+        lam0 = complex(lambdas[len(lambdas) // 2])
         if np.min(np.abs(tab - lam0)) < 1e-6 * scale:
             lam0 = lam0 - 0.5 * scale
         h = 1e-5 * max(1.0, abs(lam0))
@@ -289,8 +293,7 @@ def resolvent_symbol(model: ModelProblem, a: Symbol, z: complex) -> Symbol:
     A = M - z * np.eye(M.shape[0])
     check_solvable(A, f"(M - zI) at z={z}")
     X = np.linalg.inv(A)
-    return symbol_of_matrix(model, X, order=-a.order, rho=a.rho, delta=a.delta,
-                            name=f"resolvent[{a.name};z={z:g}]")
+    return symbol_of_matrix(model, X, order=-a.order, name=f"resolvent[{a.name};z={z:g}]")
 
 
 @dataclass
@@ -314,7 +317,6 @@ class FunctionalCalculusResult:
             lead_tab += wf / (tab - z)
         lead_tab *= -self.orientation / (2j * np.pi)
         return Symbol.from_table(self.model, lead_tab, 0, order=self.symbol.order,
-                                 rho=self.a.rho, delta=self.a.delta,
                                  name=f"F[{self.a.name}]_leading")
 
 
@@ -343,13 +345,16 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
     """`dunford_riesz` of each (F, decay_exponent) pair over one contour.
 
     M - zI is inverted once per node and the inverse shared by every F, so
-    each result is bitwise the one a call of its own gives.  The nodes are
-    inverted in consecutive blocks of at most NODE_BLOCK_BYTES of inverses,
+    each result is bitwise the one a call of its own gives (an empty
+    `functions` raises ConfigurationError first).  The nodes are inverted
+    in consecutive blocks of at most NODE_BLOCK_BYTES of inverses,
     side by side on the lanes (`threads.side_by_side`), and the calling
     thread adds every inverse to each F's sum in node order, by the same
     expression as one lane, so the lanes change no bit.  At most one block
     per lane is alive at a time.
     """
+    if not functions:
+        raise ConfigurationError("the functional calculus needs at least one function")
     Fzs = []
     for F, decay_exponent in functions:
         if decay_exponent is not None and decay_exponent >= 0:
@@ -386,7 +391,7 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
         FA = -sign / (2j * np.pi) * acc
         sym = symbol_of_matrix(model, FA, order=(a.order * decay_exponent
                                                  if decay_exponent is not None else -a.order),
-                               rho=a.rho, delta=a.delta, name=f"F[{a.name}]")
+                               name=f"F[{a.name}]")
         results.append(FunctionalCalculusResult(symbol=sym, orientation=sign, model=model, a=a,
                                                 nodes=contour.nodes,
                                                 weighted_F=contour.weights * Fz))
@@ -402,7 +407,7 @@ def fractional_power_symbol(model: ModelProblem, a: Symbol, s: complex) -> Symbo
         raise BranchCutError("symbol touches the branch cut (Re a <= 0, Im a = 0)")
     out = np.exp(s * np.log(tab))
     return Symbol.from_table(model, out, margin, order=a.order * complex(s).real,
-                             rho=a.rho, delta=a.delta, name=f"{a.name}^{s}")
+                             name=f"{a.name}^{s}")
 
 
 # ---------------------------------------------------------------------------

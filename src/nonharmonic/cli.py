@@ -84,7 +84,6 @@ _PARAMS_SCHEMAS = {
                 "required": ["a", "b"], "additionalProperties": False},
     "parametrix": {"type": "object",
                    "properties": {"symbol": _SYMBOL_SCHEMA, "order": {"type": "number"},
-                                  "rho": {"type": "number"}, "delta": {"type": "number"},
                                   "n_terms": {"type": "array", "minItems": 1,
                                               "items": {"type": "integer", "minimum": 0}}},
                    "required": ["symbol", "order"], "additionalProperties": False},
@@ -323,8 +322,7 @@ def _task_model_check(model, params, seed):
 def _task_transform_check(model, params, seed):
     import numpy as np
 
-    from .quantize import band_limited
-    from .transform import fourier, inverse, l2L_norm, l2_grid_norm
+    from .transform import band_limited, fourier, inverse, l2L_norm, l2_grid_norm
 
     trials = int(params.get("trials", 20))
     rng = np.random.default_rng(seed)
@@ -393,8 +391,6 @@ def _task_parametrix(model, params, seed):
 
     sym = _build_symbol(params["symbol"], model)
     m_ord = float(params["order"])
-    rho = float(params.get("rho", 1.0))
-    delta = float(params.get("delta", 0.0))
     n_list = [int(n) for n in params.get("n_terms", [0, 1, 2])]
 
     tab = sym.table(model, 0)
@@ -405,7 +401,7 @@ def _task_parametrix(model, params, seed):
     band = (np.abs(model.indices) >= (3 * model.N) // 8) & (np.abs(model.indices) <= model.N // 2)
     rows, sups = [], []
     for n in n_list:
-        res = parametrix(model, sym, m_ord, rho, delta, n)
+        res = parametrix(model, sym, m_ord, 1.0, 0.0, n)
         prod = composition_oracle(model, sym, res.symbol)
         rem = np.max(np.abs(prod.table(model, 0) - 1.0), axis=1)
         sups.append(float(np.max(rem[band])))

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ShapeError, SpectrumProximityError, WindowExhaustedError, WZViolationError
 from .model import ModelProblem, _read_only
 from .symbols import Symbol, apply_D, apply_Delta, apply_Delta_star
-from .transform import CoeffVector, fourier, inverse
+from .transform import CoeffVector, fourier
 
 
 @dataclass
@@ -68,15 +68,14 @@ def extract_symbol(model: ModelProblem, apply: Callable[[np.ndarray], np.ndarray
 
 
 def symbol_of_matrix(model: ModelProblem, M: np.ndarray, order: float = 0.0,
-                     rho: float = 1.0, delta: float = 0.0, name: str = "matrix", *,
-                     basis: Optional[np.ndarray] = None) -> Symbol:
+                     name: str = "matrix", *, basis: Optional[np.ndarray] = None) -> Symbol:
     """Symbol of the operator defined by a finite-section matrix in a basis
     b (default model.u): sigma(x, xi) = b_xi(x)^-1 sum_eta M[eta, xi] b_eta(x)."""
     b = model.u if basis is None else basis
     if np.min(np.abs(b)) < 1e-12:
         raise WZViolationError("|basis| falls below 1e-12 on the grid; cannot divide")
     tab = (M.T @ b) / b
-    return Symbol.from_table(model, tab, 0, order=order, rho=rho, delta=delta, name=name)
+    return Symbol.from_table(model, tab, 0, order=order, name=name)
 
 
 def kernel(model: ModelProblem, sym: Symbol) -> np.ndarray:
@@ -153,7 +152,6 @@ def compose_symbols(model: ModelProblem, a: Symbol, b: Symbol, terms: int) -> Sy
         term = da.table(model, out_margin) * db.table(model, out_margin)
         total += term / math.factorial(alpha)
     return Symbol.from_table(model, total, out_margin, order=a.order + b.order,
-                             rho=min(a.rho, b.rho), delta=max(a.delta, b.delta),
                              name=f"({a.name} o {b.name})[{terms}]")
 
 
@@ -170,15 +168,14 @@ def adjoint_symbol(model: ModelProblem, a: Symbol, terms: int) -> Symbol:
 
     # conj(a), cached on a, keeps its own D^(alpha) and Delta~^alpha from one call to the next
     conj_a = a.derived(("conj", margin, model.token), lambda: Symbol.from_table(
-        model, np.conj(a.table(model, margin)), margin, order=a.order, rho=a.rho,
-        delta=a.delta, name=f"conj[{a.name}]"))
+        model, np.conj(a.table(model, margin)), margin, order=a.order, name=f"conj[{a.name}]"))
     total = np.zeros((2 * (model.N + out_margin) + 1, model.Q), dtype=complex)
     for alpha in range(terms):
         work = apply_D(model, conj_a, alpha)
         work = apply_Delta_star(model, work, alpha)
         total += work.table(model, out_margin) / math.factorial(alpha)
-    return Symbol.from_table(model, total, out_margin, order=a.order, rho=a.rho,
-                             delta=a.delta, name=f"adj[{a.name}][{terms}]")
+    return Symbol.from_table(model, total, out_margin, order=a.order,
+                             name=f"adj[{a.name}][{terms}]")
 
 
 def inner_window(model: ModelProblem, fraction: float = 0.5) -> np.ndarray:
@@ -226,9 +223,3 @@ def adjoint_oracle(model: ModelProblem, a: Symbol) -> Symbol:
     M = galerkin_matrix(model, a).matrix
     return symbol_of_matrix(model, M.conj().T, order=a.order,
                             name=f"oracle(adj {a.name})", basis=model.v)
-
-
-def band_limited(model: ModelProblem, rng: np.random.Generator) -> np.ndarray:
-    """A random band-limited grid function (coefficients ~ complex normal)."""
-    c = rng.standard_normal(len(model.indices)) + 1j * rng.standard_normal(len(model.indices))
-    return inverse(model, CoeffVector(c))

@@ -1,10 +1,12 @@
 """Symbols, difference operators, derived derivatives, and class seminorms.
 
-A symbol is an evaluator a(x, xi, lambda_xi, <xi>) declared with an order m
-and type parameters (rho, delta).  Difference operators Delta^alpha act in
-the index variable through coupling integrals against an admissible family
-q(x, y) vanishing on the diagonal; derivatives D^(beta) act in x through a
-triangular change of basis from ordinary derivatives.
+A symbol is an evaluator a(x, xi, lambda_xi, <xi>) declared with an order m;
+the type (rho, delta) is an argument of `seminorm`, `estimate_order` and
+`calculus.parametrix`, and derived orders follow the (1, 0) class.
+Difference operators Delta^alpha act in the index variable through coupling
+integrals against an admissible family q(x, y) vanishing on the diagonal;
+derivatives D^(beta) act in x through a triangular change of basis from
+ordinary derivatives.
 
 The family is the single function q(x, y) = e^{2i pi (y-x)} - 1, and
 Delta~ uses its conjugate q~; no other family can be plugged in.  Both
@@ -106,7 +108,7 @@ def d_operator_transform(max_order: int) -> DOperatorTransform:
 
 @dataclass
 class Symbol:
-    """Symbol a(x, xi) with declared order and type.
+    """Symbol a(x, xi) with its declared order, margin and name.
 
     Exactly one of fn / table backs the symbol.  fn(x, xi, lam, br) returns
     grid samples for a single integer index and is valid on any index
@@ -121,8 +123,6 @@ class Symbol:
 
     fn: Optional[Callable] = None
     order: float = 0.0
-    rho: float = 1.0
-    delta: float = 0.0
     margin: Optional[int] = None
     name: str = "symbol"
     _table: Optional[np.ndarray] = None
@@ -131,14 +131,12 @@ class Symbol:
 
     @classmethod
     def from_table(cls, model: ModelProblem, table: np.ndarray, margin: int,
-                   order: float = 0.0, rho: float = 1.0, delta: float = 0.0,
-                   name: str = "table") -> "Symbol":
+                   order: float = 0.0, name: str = "table") -> "Symbol":
         table = np.asarray(table, dtype=complex)
         expected = (2 * (model.N + margin) + 1, model.Q)
         if table.shape != expected:
             raise ConfigurationError(f"symbol table has shape {table.shape}, expected {expected}")
-        return cls(order=order, rho=rho, delta=delta, margin=margin, name=name,
-                   _table=table, _table_token=model.token)
+        return cls(order=order, margin=margin, name=name, _table=table, _table_token=model.token)
 
     def _check_model(self, model: ModelProblem):
         if self._table is not None and self._table_token != model.token:
@@ -240,8 +238,7 @@ def _derivative(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
             if Q % 2 == 0 and j % 2 == 1:
                 mult[Q // 2] = 0.0  # the Nyquist mode has no well-defined odd derivative
             out += coef * np.fft.ifft(spectrum * mult, axis=-1)
-    return Symbol.from_table(model, out, margin, order=sym.order + sym.delta * beta,
-                             rho=sym.rho, delta=sym.delta, name=f"D^{beta}[{sym.name}]")
+    return Symbol.from_table(model, out, margin, order=sym.order, name=f"D^{beta}[{sym.name}]")
 
 
 #: bytes of the coupling-tensor blocks alive at once, over all lanes: every
@@ -363,8 +360,8 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
             if res is None:
                 res = np.zeros((2 * out_off + 1, model.Q), complex)
             out[i] = sym.derived(key, lambda: Symbol.from_table(
-                model, res, out_margin, order=sym.order - sym.rho * alpha,
-                rho=sym.rho, delta=sym.delta, name=f"{label}^{alpha}[{sym.name}]"))
+                model, res, out_margin, order=sym.order - alpha,
+                name=f"{label}^{alpha}[{sym.name}]"))
     return out
 
 
@@ -463,8 +460,8 @@ def make_symbol(name: str, **params) -> Symbol:
 
     Available: bracket_power(power), lambda_multiplier(order), constant(value),
     x_modulated_bracket(power, amplitude), exp_mode(mode, power),
-    mode_indicator(mode).  Every entry also passes the Symbol fields rho,
-    delta and margin through; any other key raises ConfigurationError.
+    mode_indicator(mode).  Every entry also passes the Symbol field margin
+    through; any other key raises ConfigurationError.
     """
     if name == "bracket_power":
         p = float(params.pop("power", 1.0))
@@ -496,7 +493,7 @@ def make_symbol(name: str, **params) -> Symbol:
                             0.0, f"indicator({k})")
     else:
         raise ConfigurationError(f"unknown symbol {name!r} in registry")
-    extra = sorted(set(params) - {"rho", "delta", "margin"})
+    extra = sorted(set(params) - {"margin"})
     if extra:
         raise ConfigurationError(f"symbol {name!r} takes no parameter {', '.join(extra)}")
     return Symbol(fn=fn, order=order, name=label, **params)

@@ -77,9 +77,8 @@ def _assert_real_nonneg(s: complex, what: str) -> float:
 
 
 def l2L_norm(model: ModelProblem, c: CoeffVector) -> float:
-    """Sequence-space norm (sum_xi c(xi) conj(c*(xi)))^(1/2)."""
-    s = complex(np.sum(c.values * _u_pairing(model, c).conj()))
-    return float(np.sqrt(_assert_real_nonneg(s, "l2L norm")))
+    """Sequence-space norm (sum_xi c(xi) conj(c*(xi)))^(1/2): `sobolev_norm` at s = 0."""
+    return sobolev_norm(model, c, 0.0)
 
 
 def sobolev_norm(model: ModelProblem, c: CoeffVector, s: float) -> float:
@@ -87,6 +86,12 @@ def sobolev_norm(model: ModelProblem, c: CoeffVector, s: float) -> float:
     weights = model.bracket_val(model.indices) ** (2.0 * s)
     total = complex(np.sum(weights * c.values * _u_pairing(model, c).conj()))
     return float(np.sqrt(_assert_real_nonneg(total, f"Sobolev norm (s={s})")))
+
+
+def band_limited(model: ModelProblem, rng: np.random.Generator) -> np.ndarray:
+    """A random band-limited grid function (coefficients ~ complex normal)."""
+    c = rng.standard_normal(len(model.indices)) + 1j * rng.standard_normal(len(model.indices))
+    return inverse(model, CoeffVector(c))
 
 
 def l2_grid_norm(model: ModelProblem, f: np.ndarray) -> float:

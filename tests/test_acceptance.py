@@ -18,11 +18,11 @@ from nonharmonic.calculus import (Contour, certify_parameter_ellipticity, dunfor
                                   negative_real_ray, parametrix)
 from nonharmonic.evolve import EvolutionProblem, energy_check, solve_ivp, uniqueness_probe
 from nonharmonic.model import ModelSpec, build_model, check_biorthogonality, check_wz
-from nonharmonic.quantize import (band_limited, compose_symbols, composition_oracle,
-                                  extract_symbol, galerkin_matrix, inner_window, kernel,
-                                  kernel_apply, op_apply)
+from nonharmonic.quantize import (compose_symbols, composition_oracle, extract_symbol,
+                                  galerkin_matrix, inner_window, kernel, kernel_apply, op_apply)
 from nonharmonic.symbols import Symbol, apply_Delta, make_symbol
-from nonharmonic.transform import CoeffVector, fourier, inverse, l2L_norm, l2_grid_norm
+from nonharmonic.transform import (CoeffVector, band_limited, fourier, inverse, l2L_norm,
+                                   l2_grid_norm)
 
 
 @contextlib.contextmanager

@@ -203,6 +203,18 @@ def test_ellipticity_spectrum_on_real_line_vs_imaginary_ray(torus):
     assert np.isfinite(cert.sup_value)
 
 
+@pytest.mark.parametrize("lambdas,m,message", [
+    (np.array([], dtype=complex), 2.0, "got 0 samples and m = 2.0"),
+    (negative_real_ray(), 0.0, "got 60 samples and m = 0.0"),
+    # m < 0 with lambda = 0 among the samples would divide by zero in |l|^(1/m)
+    (negative_real_ray(), -1.0, "got 60 samples and m = -1.0"),
+])
+def test_ellipticity_rejects_empty_samples_and_nonpositive_order(torus, lambdas, m, message):
+    a = make_symbol("bracket_power", power=2.0)
+    with pytest.raises(ConfigurationError, match=message):
+        certify_parameter_ellipticity(torus, a, m, lambdas, bound=np.inf)
+
+
 # ---------------------------------------------------------------------------
 # resolvent
 # ---------------------------------------------------------------------------
@@ -539,6 +551,16 @@ def test_dunford_riesz_rejects_bad_functions(torus, F, s, message):
     contour = Contour.circle(center=0.0, radius=1.0, n=16)
     with pytest.raises(ConfigurationError, match=message):
         dunford_riesz(torus, a, F, contour, decay_exponent=s)
+
+
+def test_dunford_riesz_many_without_functions_inverts_nothing(torus, monkeypatch):
+    def no_inversion(A):
+        raise AssertionError("inverted a contour node")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inversion)
+    a = make_symbol("bracket_power", power=1.0)
+    with pytest.raises(ConfigurationError, match="at least one function"):
+        dunford_riesz_many(torus, a, [], Contour.circle(center=0.0, radius=1.0, n=16))
 
 
 def test_scalar_function_registry_guards():

@@ -202,6 +202,28 @@ def test_integral_float_model_sizes_run_as_integers(tmp_path):
             == (tmp_path / "int" / "symbol_order.csv").read_bytes())
 
 
+@pytest.mark.parametrize("key,value", [("rho", 0.5), ("delta", 0.3)])
+def test_parametrix_takes_no_type_parameters(tmp_path, capsys, key, value):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "parametrix.json"
+    doc = json.loads(shipped.read_text())
+    doc["params"][key] = value
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_symbol_order_delta_weighs_the_seminorms(tmp_path):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "symbol_order.json"
+    assert run(str(shipped), out_dir=str(tmp_path / "default")) == 0
+    doc = json.loads(shipped.read_text())
+    doc["params"]["delta"] = 0.5
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "delta")) == 0
+    assert ((tmp_path / "delta" / "symbol_order.csv").read_bytes()
+            != (tmp_path / "default" / "symbol_order.csv").read_bytes())
+
+
 def test_one_entry_parametrix_of_a_multiplier_passes(tmp_path):
     cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "parametrix",
                                   "params": {"symbol": {"name": "bracket_power", "power": 2},
@@ -262,6 +284,21 @@ def test_symbol_order_does_not_load_numpy_ma(tmp_path):
     ])
     proc = subprocess.run([sys.executable, "-c", script,
                            str(root / "configs" / "symbol_order.json"), str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_transform_check_loads_no_symbol_calculus(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import sys",
+        "import nonharmonic.cli as cli",
+        "assert cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0",
+        "assert 'nonharmonic.symbols' not in sys.modules",
+        "assert 'nonharmonic.quantize' not in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(root / "configs" / "transform_check.json"), str(tmp_path / "out")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

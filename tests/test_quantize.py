@@ -4,12 +4,12 @@ import pytest
 from nonharmonic.errors import (ShapeError, SpectrumProximityError, WindowExhaustedError,
                                 WZViolationError)
 from nonharmonic.model import ModelSpec, build_model
-from nonharmonic.quantize import (adjoint_oracle, adjoint_symbol, band_limited, check_solvable,
+from nonharmonic.quantize import (adjoint_oracle, adjoint_symbol, check_solvable,
                                   compose_symbols, composition_oracle,
                                   extract_symbol, galerkin_matrix, inner_window, kernel,
                                   kernel_apply, op_apply, symbol_of_matrix)
 from nonharmonic.symbols import Symbol, make_symbol
-from nonharmonic.transform import CoeffVector, fourier
+from nonharmonic.transform import CoeffVector, band_limited, fourier
 
 FIVE_SYMBOLS = [
     ("bracket_power", {"power": 1.0}),

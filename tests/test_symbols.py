@@ -235,6 +235,13 @@ def test_registry_rejects_unknown():
         make_symbol("does_not_exist")
 
 
+@pytest.mark.parametrize("key", ["rho", "delta"])
+def test_registry_rejects_type_parameters(key):
+    # the type (rho, delta) is an argument of the seminorms, not a symbol field
+    with pytest.raises(ConfigurationError, match=f"takes no parameter {key}"):
+        make_symbol("bracket_power", **{key: 0.5})
+
+
 def test_table_cache_reused(torus):
     sym = make_symbol("bracket_power", power=1.0)
     t1 = sym.table(torus, 2)
@@ -746,11 +753,21 @@ def test_difference_of_a_zero_table_builds_no_tensor(models, tensor_builds, q_bu
         got = apply(m, sym, alpha)
         margin = sym.available_margin(m) - alpha
         assert (got.margin, got.order, got.name) == (
-            margin, sym.order - sym.rho * alpha, f"{label}^{alpha}[{sym.name}]")
+            margin, sym.order - alpha, f"{label}^{alpha}[{sym.name}]")
         tab = got.table(m, margin)
         assert tab.shape == (2 * (m.N + margin) + 1, m.Q) and not tab.any()
         assert apply(m, sym, alpha) is got
     assert tensor_builds == [] and q_builds == []
+
+
+@pytest.mark.parametrize("name", ["torus_derivative", "h_derivative_2", "torus_laplacian"])
+def test_derivative_keeps_the_order(models, name):
+    # derived orders follow the (1, 0) class: D^(beta) keeps the order
+    m = models[name]
+    for sym in every_registry_symbol(m):
+        for beta in (1, 2):
+            got = apply_D(m, sym, beta)
+            assert (got.order, got.name) == (sym.order, f"D^{beta}[{sym.name}]")
 
 
 def test_mixed_window_contracts_only_the_nonzero_symbol(hmodel, tensor_builds):

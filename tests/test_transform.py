@@ -3,10 +3,9 @@ import pytest
 
 from conftest import geometric_star_coefficient
 from nonharmonic.errors import NumericalConsistencyError, ShapeError, WindowExhaustedError
-from nonharmonic.transform import (CoeffVector, coefficient_gram, fourier, inverse, l2L_norm,
-                                   l2_grid_norm, l_convolution, sobolev_norm)
+from nonharmonic.transform import (CoeffVector, band_limited, coefficient_gram, fourier, inverse,
+                                   l2L_norm, l2_grid_norm, l_convolution, sobolev_norm)
 from nonharmonic import transform
-from nonharmonic.quantize import band_limited
 
 
 def indicator(model, xi):
