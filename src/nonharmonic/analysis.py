@@ -35,6 +35,7 @@ class GardingReport:
     quad_forms: np.ndarray      # per-trial Re(Au, u)
     sobolev_sq: np.ndarray      # per-trial ||u||^2_{H^{m/2}}
     l2_sq: np.ndarray           # per-trial ||u||^2_{L2}
+    margins: np.ndarray         # per-trial Re(Au, u) - C1 ||u||^2_{H^{m/2}} + C2 ||u||^2_{L2}
     violations: int
     verdict: bool
 
@@ -92,7 +93,7 @@ def garding_estimate(model: ModelProblem, a: Symbol, m: float, trials: int = 200
     margins = quad_forms - C1 * sob_sq + C2 * l2_sq
     violations = int(np.sum(margins < -1e-9 * np.maximum(1.0, np.abs(quad_forms))))
     return GardingReport(C0=C0, C1=C1, C2=C2, quad_forms=quad_forms, sobolev_sq=sob_sq,
-                         l2_sq=l2_sq, violations=violations,
+                         l2_sq=l2_sq, margins=margins, violations=violations,
                          verdict=bool(violations == 0))
 
 
@@ -134,7 +135,8 @@ def l2_operator_norm(spec: ModelSpec, a: Symbol, truncations: Sequence[int]) -> 
     geometry: the largest s with M^H G M x = s^2 G x, G the coefficient Gram
     matrix, which is ||R M R^-1||_2 for G = R^H R (Golub & Van Loan, Matrix
     Computations, sec. 8.7).  Truncations must be ascending; each one
-    rebuilds the model with a proportionally enlarged grid.
+    rebuilds the model with a proportionally enlarged grid; a G that is not
+    numerically positive definite raises NumericalConsistencyError.
     """
     truncations = list(truncations)
     if truncations != sorted(truncations):
@@ -149,6 +151,10 @@ def l2_operator_norm(spec: ModelSpec, a: Symbol, truncations: Sequence[int]) -> 
             norms.append(float(np.linalg.norm(M, 2)))
         else:
             # L = R^H; ||R M R^-1||_2 = ||(R M R^-1)^H||_2 = ||L^-1 M^H L||_2
-            L = np.linalg.cholesky(G)
+            try:
+                L = np.linalg.cholesky(G)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalConsistencyError(
+                    f"coefficient Gram at truncation N={N} is not positive definite") from exc
             norms.append(float(np.linalg.norm(np.linalg.solve(L, M.conj().T @ L), 2)))
     return np.array(norms)

@@ -31,6 +31,8 @@ from .symbols import Symbol, apply_D, apply_Delta
 # contours
 # ---------------------------------------------------------------------------
 
+KEYHOLE_EPS = 0.1  # radius of the keyhole's inner arc around 0
+
 
 @lru_cache(maxsize=128)
 def _gauss_legendre(size: int) -> tuple:
@@ -88,13 +90,13 @@ class Contour:
     def keyhole_negative_axis(cls, R: float, nodes_per_segment: int = 100) -> "Contour":
         """Keyhole around the negative real axis, closed at radius R.
 
-        Two rays at angles +-5 pi/6 joined by an arc of radius eps = 0.1
+        Two rays at angles +-5 pi/6 joined by an arc of radius KEYHOLE_EPS
         around the origin and the closing outer arc through the right
         half-plane.  Rays are parametrized in log-radius; each segment uses
         8 Gauss-Legendre panels so that accuracy improves visibly (instead
         of saturating) as the node budget grows.
         """
-        eps = 0.1
+        eps = KEYHOLE_EPS
         if not 0 < eps < R:
             raise ConfigurationError(f"keyhole needs 0 < eps < R, got eps={eps}, R={R}")
         phi = math.pi - math.pi / 6  # an opening half-angle of pi/6 around the cut
@@ -130,8 +132,10 @@ class Contour:
     @classmethod
     def default_keyhole(cls, model: ModelProblem, sym: Symbol,
                         nodes_per_segment: int = 100) -> "Contour":
-        """Keyhole sized from the truncated spectrum of Op(a)."""
+        """Keyhole sized from the truncated spectrum of Op(a), R = 4 max |lambda|."""
         R = 4.0 * float(np.max(np.abs(galerkin_matrix(model, sym).eigenvalues)))
+        if R <= KEYHOLE_EPS:
+            raise SpectrumProximityError("the whole spectrum lies inside the keyhole's inner disc")
         return cls.keyhole_negative_axis(R=R, nodes_per_segment=nodes_per_segment)
 
     def check_clear_of(self, values: np.ndarray) -> int:

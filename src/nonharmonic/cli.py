@@ -490,10 +490,9 @@ def _task_garding(model, params, seed):
     trials = int(params.get("trials", 200))
     min_c1 = float(params.get("min_c1", 0.0))
     rep = garding_estimate(model, sym, m_ord, trials=trials, seed=seed)
-    rows = [[t, rep.quad_forms[t], rep.sobolev_sq[t], rep.l2_sq[t],
-             rep.quad_forms[t] - rep.C1 * rep.sobolev_sq[t] + rep.C2 * rep.l2_sq[t]]
+    rows = [[t, rep.quad_forms[t], rep.sobolev_sq[t], rep.l2_sq[t], rep.margins[t]]
             for t in range(trials)]
-    passed = bool(rep.verdict and rep.violations == 0 and rep.C1 >= min_c1)
+    passed = bool(rep.verdict and rep.C1 >= min_c1)
     return passed, {"C0": rep.C0, "C1": rep.C1, "C2": rep.C2,
                     "violations": rep.violations, "seed": seed}, [
         ("garding.csv", ["trial", "re_quadform", "sobolev_sq", "l2_sq", "margin"], rows)]

@@ -14,7 +14,7 @@ backward Euler (order 1), and Picard iteration of the integral equation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import pairwise
 from typing import Callable, Optional
@@ -45,7 +45,6 @@ class EvolutionProblem:
     forcing: Optional[Callable[[float], np.ndarray]] = None
     order_m: float = 2.0
     ellipticity_gate: str = "dissipative"
-    _gronwall: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self, model: ModelProblem):
         if self.scheme not in SCHEMES:
@@ -175,29 +174,23 @@ def solve_ivp(model: ModelProblem, prob: EvolutionProblem) -> Trajectory:
 
 def _gronwall_C2(model: ModelProblem, prob: EvolutionProblem, seed: int) -> float:
     """The largest Garding constant C2 of -Re K at t = 0, T/2 and T (0 under
-    the literal gate).  A sample that is the same symbol as an earlier one
-    is fitted once: its fit would repeat the earlier one.  C2 is computed
-    once per model, seed and problem data and kept on the problem, which
-    `energy_check` and `uniqueness_probe` of one problem then share."""
-    key = (model.token, seed, prob.symbol_factory, prob.T, prob.order_m, prob.ellipticity_gate)
-    if key not in prob._gronwall:
-        C2 = 0.0
-        if prob.ellipticity_gate != "literal":
-            fitted = []
-            for t in (0.0, prob.T / 2.0, prob.T):
-                sym = prob.symbol_factory(t)
-                if any(sym is f for f in fitted):
-                    continue
-                fitted.append(sym)
-                neg = Symbol.from_table(model, -sym.table(model, 0), 0,
-                                        order=prob.order_m, name=f"-K({t:g})")
-                try:
-                    rep = garding_estimate(model, neg, prob.order_m, trials=50, seed=seed)
-                    C2 = max(C2, rep.C2)
-                except EllipticityError:
-                    C2 = max(C2, 0.0)
-        prob._gronwall[key] = C2
-    return prob._gronwall[key]
+    the literal gate): a 50-trial estimate of -K(t), 0 where it fails the
+    precheck, cached on K(t) under ("gronwall", order_m, seed, model token),
+    so a symbol sampled twice or by both checks of a problem is fitted once."""
+    if prob.ellipticity_gate == "literal":
+        return 0.0
+    m = prob.order_m
+
+    def fit(sym: Symbol, t: float) -> float:
+        neg = Symbol.from_table(model, -sym.table(model, 0), 0, order=m, name=f"-K({t:g})")
+        try:
+            return garding_estimate(model, neg, m, trials=50, seed=seed).C2
+        except EllipticityError:
+            return 0.0
+
+    samples = ((prob.symbol_factory(t), t) for t in (0.0, prob.T / 2.0, prob.T))
+    return max(sym.derived(("gronwall", m, seed, model.token), lambda: fit(sym, t))
+               for sym, t in samples)
 
 
 @dataclass

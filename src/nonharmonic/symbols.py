@@ -115,10 +115,10 @@ class Symbol:
     (margin None: the calculus then reads DEFAULT_MARGIN past +-N unless told
     otherwise); table-backed symbols carry samples over the window
     {-N-margin, ..., N+margin} of the model they were built from.
-    A symbol must not be mutated once evaluated: its tables, Galerkin
-    matrices and derived symbols (D^(beta), Delta^alpha, Delta~^alpha and
-    conj) are cached per model by the one rule of `derived`, and a cached
-    value would go stale.  They live as long as the symbol does.
+    A symbol must not be mutated once evaluated: its tables, Galerkin matrix,
+    derived symbols (D^(beta), Delta^alpha, Delta~^alpha, conj) and Gronwall
+    C2 are cached per model by the one rule of `derived`, and a cached value
+    would go stale.  They live as long as the symbol does.
     """
 
     fn: Optional[Callable] = None
@@ -199,7 +199,7 @@ class Symbol:
     def derived(self, key: tuple, build: Callable):
         """The value cached on this symbol under `key`, or else `build()`'s,
         stored under `key` first.  A key ends in the model token: (token,
-        margin) for a table, (operation, order or margin, token) for the rest."""
+        margin) for a table, (operation, its parameters, token) for the rest."""
         value = self._cache.get(key)
         if value is None:
             value = build()
@@ -465,15 +465,13 @@ def make_symbol(name: str, **params) -> Symbol:
     """
     if name == "bracket_power":
         p = float(params.pop("power", 1.0))
-        fn, order, label = (lambda x, xi, lam, br: np.full_like(x, br**p, dtype=complex),
-                            p, f"bracket^{p:g}")
+        fn, order, label = lambda x, xi, lam, br: br**p, p, f"bracket^{p:g}"
     elif name == "lambda_multiplier":
         # order equals the generating operator's order; set at bind time by caller
-        fn, order, label = (lambda x, xi, lam, br: np.full_like(x, lam, dtype=complex),
-                            float(params.pop("order", 1.0)), "lambda")
+        fn, order, label = lambda x, xi, lam, br: lam, float(params.pop("order", 1.0)), "lambda"
     elif name == "constant":
         c = complex(params.pop("value", 1.0))
-        fn, order, label = (lambda x, xi, lam, br: np.full_like(x, c, dtype=complex),
+        fn, order, label = (lambda x, xi, lam, br: c,
                             0.0, f"const({c:g})" if c.imag == 0 else "const")
     elif name == "x_modulated_bracket":
         p = float(params.pop("power", 1.0))
@@ -488,8 +486,7 @@ def make_symbol(name: str, **params) -> Symbol:
                             p, f"e(2pi i {k}x)br^{p:g}")
     elif name == "mode_indicator":
         k = int(params.pop("mode", 0))
-        fn, order, label = (lambda x, xi, lam, br: np.full_like(x, 1.0 + 0.0j if xi == k else 0.0j,
-                                                                dtype=complex),
+        fn, order, label = (lambda x, xi, lam, br: 1.0 + 0.0j if xi == k else 0.0j,
                             0.0, f"indicator({k})")
     else:
         raise ConfigurationError(f"unknown symbol {name!r} in registry")

@@ -84,6 +84,15 @@ def test_garding_trials_equal_the_per_trial_loop(models, kind):
     assert np.array_equal(rep.l2_sq, l2)
 
 
+def test_garding_margins_are_the_fitted_inequality_per_trial(torus):
+    rep = garding_estimate(torus, make_symbol("x_modulated_bracket", power=2.0), 2.0,
+                           trials=60, seed=11)
+    per_trial = [q - rep.C1 * s + rep.C2 * l
+                 for q, s, l in zip(rep.quad_forms, rep.sobolev_sq, rep.l2_sq)]
+    assert np.array_equal(rep.margins, per_trial)
+    assert rep.violations == 0 and np.min(rep.margins) >= 0.0
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_garding_rejects_fewer_than_one_trial(torus, trials):
     sym = make_symbol("bracket_power", power=2.0)

@@ -374,6 +374,37 @@ def test_funcalc_spectrum_outside_keyhole_exits_3(tmp_path, symbol):
     assert run(cfg, out_dir=str(tmp_path / "out")) == 3
 
 
+@pytest.mark.parametrize("value, message", [
+    (0.01, "inside the keyhole's inner disc"),  # R = 4 max |lambda| = 0.04 <= 0.1
+    (0.0, "inside the keyhole's inner disc"),   # the zero symbol: R = 0
+    (0.05, "does not wind once"),               # R = 0.2: the winding guard
+])
+def test_funcalc_spectrum_inside_the_keyhole_disc_exits_3(tmp_path, capsys, value, message):
+    cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "funcalc",
+                                  "params": {"symbol": {"name": "constant", "value": value},
+                                             "functions": ["inverse"]}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical guard tripped: SpectrumProximityError")
+    assert message in err and len(err.splitlines()) == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_l2norm_gram_that_is_not_positive_definite_exits_3(tmp_path, capsys):
+    # at h = 1e-100 the h_derivative coefficient Gram fails its Cholesky factorization
+    cfg = write_config(tmp_path, {"model": {"kind": "h_derivative", "N": 16, "Q": 128,
+                                            "h": 1e-100},
+                                  "task": "l2norm",
+                                  "params": {"symbol": {"name": "x_modulated_bracket",
+                                                        "power": 0.0}}})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical guard tripped: NumericalConsistencyError: "
+                          "coefficient Gram at truncation N=8 is not positive definite")
+    assert len(err.splitlines()) == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_funcalc_computes_one_spectrum_and_one_keyhole_per_node_count(tmp_path, monkeypatch):
     import numpy as np
 

@@ -164,6 +164,30 @@ def test_gronwall_constant_fits_each_distinct_generator_sample_once(torus, monke
     assert C2["shared"] == C2["fresh"] > 0
 
 
+def test_gronwall_fit_is_cached_on_the_generator_symbol(torus, monkeypatch):
+    import dataclasses
+
+    import nonharmonic.evolve as evolve
+
+    estimate, calls = evolve.garding_estimate, []
+    monkeypatch.setattr(evolve, "garding_estimate",
+                        lambda *a, **kw: calls.append(kw["seed"]) or estimate(*a, **kw))
+    # the problem is plain data: it keeps no state of its own
+    assert all(f.init for f in dataclasses.fields(EvolutionProblem))
+    shared = neg_laplace_symbol()
+    prob = EvolutionProblem(symbol_factory=lambda t: shared, u0=torus.u_row(1), T=0.1,
+                            steps=10, order_m=2.0)
+    C2 = [energy_check(torus, p, solve_ivp(torus, p), seed=3).C2
+          for p in (prob, replace(prob, steps=20, T=0.2))]
+    assert calls == [3] and C2[0] == C2[1]  # two problems, one generator: one fit
+    energy_check(torus, prob, solve_ivp(torus, prob), seed=4)
+    assert calls == [3, 4]  # the seed is part of the key
+    growth = make_symbol("bracket_power", power=2.0)
+    literal = replace(prob, ellipticity_gate="literal", symbol_factory=lambda t: growth)
+    assert energy_check(torus, literal, solve_ivp(torus, literal)).C2 == 0.0
+    assert calls == [3, 4]
+
+
 def test_picard_keeps_one_stack_of_time_dependent_generators(torus):
     import tracemalloc
 
