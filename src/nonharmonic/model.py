@@ -38,6 +38,9 @@ _KIND_ORDER = {"torus_derivative": 1.0, "h_derivative": 1.0, "torus_laplacian": 
 #: default extension margin: how far past +-N evaluator symbols are sampled
 DEFAULT_MARGIN = 4
 
+#: smallest |u_xi|, |v_xi| that `check_wz` passes and symbol extraction divides by
+BASIS_FLOOR = 1e-12
+
 _token_counter = itertools.count()
 
 
@@ -287,12 +290,12 @@ def check_wz(model: ModelProblem) -> WZReport:
 
     The quadrature grid lives on [0, 1); the infimum is taken over the grid
     augmented with the closure point x = 1, where e.g. h^-x attains its
-    minimum for h > 1.
+    minimum for h > 1.  It passes when every infimum is at least `BASIS_FLOOR`.
     """
     xs = np.concatenate([model.x, [1.0]])
     inf_u, inf_v = (np.array([np.min(np.abs(model.basis_at(xs, xi, dual)))
                               for xi in model.indices]) for dual in (False, True))
-    passed = bool(np.all(inf_u > 0) and np.all(inf_v > 0))
+    passed = bool(np.all(inf_u >= BASIS_FLOOR) and np.all(inf_v >= BASIS_FLOOR))
 
     # least-squares fit of log inf|u| = log C - N * log<xi> over both families
     br = model.bracket_val(model.indices)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ShapeError, SpectrumProximityError, WindowExhaustedError, WZViolationError
-from .model import ModelProblem, _read_only
+from .model import BASIS_FLOOR, ModelProblem, _read_only
 from .symbols import Symbol, apply_D, apply_Delta, apply_Delta_star
 from .transform import CoeffVector, fourier
 
@@ -61,8 +61,9 @@ def extract_symbol(model: ModelProblem, apply: Callable[[np.ndarray], np.ndarray
     over the window {-N, ..., N}."""
     rows = []
     for xi, u in zip(model.indices, model.u):
-        if np.min(np.abs(u)) < 1e-12:
-            raise WZViolationError(f"|u_{xi}| falls below 1e-12 on the grid; cannot divide")
+        if np.min(np.abs(u)) < BASIS_FLOOR:
+            raise WZViolationError(
+                f"|u_{xi}| falls below {BASIS_FLOOR:g} on the grid; cannot divide")
         rows.append(apply(u) / u)
     return Symbol.from_table(model, np.stack(rows), 0, name="extracted")
 
@@ -72,8 +73,8 @@ def symbol_of_matrix(model: ModelProblem, M: np.ndarray, order: float = 0.0,
     """Symbol of the operator defined by a finite-section matrix in a basis
     b (default model.u): sigma(x, xi) = b_xi(x)^-1 sum_eta M[eta, xi] b_eta(x)."""
     b = model.u if basis is None else basis
-    if np.min(np.abs(b)) < 1e-12:
-        raise WZViolationError("|basis| falls below 1e-12 on the grid; cannot divide")
+    if np.min(np.abs(b)) < BASIS_FLOOR:
+        raise WZViolationError(f"|basis| falls below {BASIS_FLOOR:g} on the grid; cannot divide")
     tab = (M.T @ b) / b
     return Symbol.from_table(model, tab, 0, order=order, name=name)
 

@@ -36,6 +36,22 @@ def test_model_check_passes(tmp_path):
     assert summary["summary"]["wz_passed"] is True
 
 
+def test_model_check_fails_a_basis_the_calculus_refuses(tmp_path):
+    # at h = 1e-100 every infimum of |u_xi| is > 0 but below the floor that
+    # symbol extraction divides by, where compose exits 3 on the same model
+    model = {"kind": "h_derivative", "N": 8, "Q": 64, "h": 1e-100}
+    cfg = write_config(tmp_path, {"model": model, "task": "model-check", "seed": 1})
+    assert run(cfg, out_dir=str(tmp_path / "out")) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["summary"]["wz_passed"] is False
+    compose = write_config(tmp_path, {"model": model, "task": "compose",
+                                      "params": {"a": {"name": "bracket_power", "power": 1.0},
+                                                 "b": {"name": "exp_mode", "mode": 1},
+                                                 "terms": [1, 2]}}, name="compose.json")
+    assert run(compose, out_dir=str(tmp_path / "compose")) == 3
+
+
 def test_invalid_schema_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"model": BASE_MODEL, "task": "model-check", "extra": 1})
     assert run(cfg, out_dir=str(tmp_path / "out")) == 2

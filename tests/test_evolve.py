@@ -500,3 +500,81 @@ def test_norms_of_equals_the_searched_path(models, model_name):
         c = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
         vals = np.einsum("ki,ij,kj->k", c.conj(), gram, c, optimize=True)
         assert np.array_equal(_norms_of(c, gram), np.sqrt(np.maximum(vals.real, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# one walk carries several columns over one generator
+# ---------------------------------------------------------------------------
+
+def walk_generator(order, fresh):
+    """A factory of an x-dependent dissipative generator: one shared symbol,
+    or a fresh symbol on every call, as a time-dependent generator gives."""
+    def make(t):
+        scale = 1.0 + 5.0 * t if fresh else 1.0
+        return Symbol(fn=lambda x, xi, lam, br: -scale * (1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+                      * br**order + 0.0j, order=order, name=f"K({t:g})")
+
+    shared = make(0.0)
+    return make if fresh else (lambda t: shared)
+
+
+@pytest.mark.parametrize("model_name", ["torus_derivative", "h_derivative_2"])
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler", "picard"])
+@pytest.mark.parametrize("fresh", [False, True], ids=["constant", "fresh"])
+def test_each_column_of_a_walk_equals_its_lone_solve_bitwise(models, model_name, scheme, fresh):
+    from nonharmonic.evolve import _walk
+
+    model = models[model_name]
+    order = 0.0 if scheme == "picard" else 2.0
+    rows = model.u_row(2), model.u_row(3)
+    shared, other = (lambda t: np.cos(t) * rows[0]), (lambda t: np.sin(t) * rows[1])
+    bump = np.random.default_rng(7).standard_normal(model.Q) * 1e-3
+    prob = EvolutionProblem(symbol_factory=walk_generator(order, fresh), u0=model.u_row(1),
+                            T=0.1, steps=30, scheme=scheme, forcing=shared, order_m=order)
+    columns = [(prob.u0, shared), (prob.u0 + bump, shared),
+               (np.zeros(model.Q, dtype=complex), None), (model.u_row(-2), other)]
+    for (u0, forcing), got in zip(columns, _walk(model, prob, columns)):
+        lone = solve_ivp(model, replace(prob, u0=u0, forcing=forcing))
+        assert np.array_equal(got.times, lone.times)
+        assert np.array_equal(got.coeffs, lone.coeffs)
+        assert np.array_equal(got.Kv, lone.Kv, equal_nan=True)
+        assert np.array_equal(got.norms, lone.norms)
+        assert got.picard_iterations == lone.picard_iterations
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["constant", "fresh"])
+def test_uniqueness_probe_makes_two_walks(torus, fresh, monkeypatch):
+    import nonharmonic.evolve as evolve
+
+    steps = 20
+    solves, builds, made = [], [], []
+    solve, build = np.linalg.solve, evolve.galerkin_matrix
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: solves.append(b.shape) or solve(A, b))
+    monkeypatch.setattr(evolve, "galerkin_matrix", lambda m, s: builds.append(1) or build(m, s))
+    factory = walk_generator(2.0, fresh)
+    prob = EvolutionProblem(symbol_factory=lambda t: made.append(t) or factory(t),
+                            u0=torus.u_row(1), T=0.1, steps=steps,
+                            forcing=lambda t: torus.u_row(2), order_m=2.0)
+    rep = uniqueness_probe(torus, prob, seed=3)
+    n = len(torus.indices)
+    # 2S implicit solves, each for two columns (four lone solves made 4S)
+    assert solves == [(n, 2)] * (2 * steps)
+    # each walk builds K(t_0) ... K(t_S) once (four lone solves built 4(S + 1))
+    assert len(builds) == 2 * (steps + 1)
+    # the walks' 2(S + 1) calls, two validations at t = 0, T/2, T, the Gronwall samples
+    assert len(made) == 2 * (steps + 1) + 2 * 3 + 3
+
+    # the report has the bits of four lone solves
+    monkeypatch.undo()
+    scale = 1e-6
+    rng = np.random.default_rng(3)
+    bump = rng.standard_normal(torus.Q) + 1j * rng.standard_normal(torus.Q)
+    t1, t2 = solve_ivp(torus, prob), solve_ivp(torus, prob)
+    hom = solve_ivp(torus, replace(prob, u0=np.zeros(torus.Q, dtype=complex), forcing=None))
+    t3 = solve_ivp(torus, replace(prob, u0=prob.u0 + scale * bump))
+    gram = coefficient_gram(torus)
+    bump_norm = _norms_of(fourier(torus, bump).values[None, :], gram)[0]
+    assert rep.bitwise_identical and np.array_equal(t1.coeffs, t2.coeffs)
+    assert rep.homogeneous_max_norm == float(np.max(hom.norms)) == 0.0
+    assert np.array_equal(rep.ratio, _norms_of(t3.coeffs - t1.coeffs, gram) / (scale * bump_norm))
+    assert rep.passed

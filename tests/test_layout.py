@@ -44,3 +44,9 @@ def test_only_symbols_touches_the_derived_cache():
 def test_arrays_are_made_read_only_in_one_place():
     assert sites("writeable", stores=True) == [("model.py", "_read_only")]
     assert sites("setflags") == []
+
+
+def test_evolution_solves_its_step_systems_in_one_place():
+    # every implicit step of every walk, of every column, is one factorization there
+    assert [site for site in sites("solve") if site[0] == "evolve.py"] == [
+        ("evolve.py", "implicit_step")]
