@@ -324,9 +324,9 @@ class FunctionalCalculusResult:
                                  name=f"F[{self.a.name}]_leading")
 
 
-#: bytes of the inverses (M - zI)^-1 in one block of contour nodes: three
-#: nodes at N = 32 and one from N = 64, so a round of blocks stays small
-NODE_BLOCK_BYTES = 256 << 10
+#: bytes of the inverses (M - zI)^-1 alive at once, over all lanes: at two
+#: lanes a block is three nodes at N = 32 and one from N = 64
+NODE_BLOCK_BYTES = 512 << 10
 
 
 def dunford_riesz(model: ModelProblem, a: Symbol, F: Callable, contour: Contour,
@@ -351,11 +351,9 @@ def dunford_riesz_many(model: ModelProblem, a: Symbol,
     M - zI is inverted once per node and the inverse shared by every F, so
     each result is bitwise the one a call of its own gives (an empty
     `functions` raises ConfigurationError first).  The nodes are inverted
-    in consecutive blocks of at most NODE_BLOCK_BYTES of inverses,
-    side by side on the lanes (`threads.side_by_side`), and the calling
-    thread adds every inverse to each F's sum in node order, by the same
-    expression as one lane, so the lanes change no bit.  At most one block
-    per lane is alive at a time.
+    in the blocks `threads` plans for the budget NODE_BLOCK_BYTES, and the
+    calling thread adds every inverse to each F's sum in node order, by the
+    same expression at every lane count, so the lanes change no bit.
     """
     if not functions:
         raise ConfigurationError("the functional calculus needs at least one function")

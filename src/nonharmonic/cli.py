@@ -17,15 +17,12 @@ non-finite value as "inf", "-inf" or "nan".
 
 Every numeric CSV cell is written with 17 significant digits so doubles
 round-trip exactly; reruns of the same config and seed produce
-byte-identical CSV files, whatever NONHARMONIC_THREADS is.  A lane is one
-BLAS thread: before numpy loads, the CLI sets every BLAS variable that is
-unset to 1 (one the user set is kept, and above 1 may move the last
-digits), and the row blocks of Delta^alpha and the contour-node inversions
-of the functional calculus run on NONHARMONIC_THREADS lanes
-(`threads.side_by_side`), one per usable core when it is 0 or unset.  A
-value that is not a non-negative integer exits 2 before anything is
-written.  The lanes and the thread variables go to the `threads` block of
-summary.json and of the registry record, never to a CSV.
+byte-identical CSV files at every NONHARMONIC_THREADS (see `threads`):
+before numpy loads, the CLI sets every unset BLAS variable to 1 (one the
+user set is kept; above 1 it may move the last digits).  An invalid thread
+setting exits 2 before anything is written.  The lanes and the thread
+variables go to the `threads` block of summary.json and of the registry
+record, never to a CSV.
 
 A config is checked against CONFIG_SCHEMA and the params schema of its
 task by `schema_violation`, a validator in this module, not a library: it
@@ -624,6 +621,12 @@ def _run(config_path: str, out_dir, seed):
     spec = ModelSpec(kind=mdl_block["kind"], N=int(mdl_block["N"]), Q=int(mdl_block["Q"]),
                      h=mdl_block.get("h"), m=mdl_block.get("m"))
     spec.validate()  # so an invalid model leaves no output directory
+    params = config.get("params", {})
+    if config["task"] == "evolve":
+        for key, default in (("u0_mode", 1), ("forcing_mode", 0)):  # each indexes -N..N
+            mode = int(params.get(key, default))
+            if abs(mode) > spec.N:
+                raise ConfigurationError(f"params.{key}: mode {mode} is outside -N..N, N = {spec.N}")
     out = Path(out_dir or config.get("out_dir", "runs"))
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -640,7 +643,7 @@ def _run(config_path: str, out_dir, seed):
     model = build_model(spec)
     task = config["task"]
     with np.errstate(over="raise", invalid="raise", divide="raise"):  # exit 3, not nan
-        passed, summary, artifacts = _RUNNERS[task](model, config.get("params", {}), seed)
+        passed, summary, artifacts = _RUNNERS[task](model, params, seed)
 
     digest = config_digest(config, seed)
     csv_paths = [str(out / name) for name, _, _ in artifacts]

@@ -241,9 +241,8 @@ def _derivative(model: ModelProblem, sym: Symbol, beta: int) -> Symbol:
     return Symbol.from_table(model, out, margin, order=sym.order, name=f"D^{beta}[{sym.name}]")
 
 
-#: bytes of the coupling-tensor blocks alive at once, over all lanes: every
-#: window at N <= 16 (Q = 8N) is one block, a window at N = 32 is five or six
-#: at one lane, and memory stays bounded as N grows
+#: bytes of the coupling-tensor blocks alive at once, over all lanes: one
+#: block for every window at N <= 16 (Q = 8N), and bounded as N grows
 BLOCK_BYTES = 4 << 20
 
 
@@ -272,35 +271,26 @@ def _coupled_rows(model: ModelProblem, star: bool, alpha: int,
                   B_out: np.ndarray, D_in: np.ndarray, weighted: list) -> list:
     """sum_eta C[xi, eta, x] weighted[eta, x] over the rows xi of B_out,
     for each array of `weighted`, with C the coupling tensor of B_out and
-    D_in.  C is built and contracted in blocks of rows xi: the whole window
-    if it fits in BLOCK_BYTES, else blocks of BLOCK_BYTES over the lanes of
-    `threads.side_by_side`, lane k taking every lanes-th block from the
-    k-th.  The calling thread allocates every array a block needs, one set
-    per lane reused over its blocks, and the rows each block contracts
-    into, so no lane allocates and the blocks alive at once stay within
-    BLOCK_BYTES."""
-    n_lanes = threads.lanes()
+    D_in, built and contracted in the row blocks `threads` plans for the
+    budget BLOCK_BYTES, one share per lane.  The calling thread allocates
+    every array: a buffer pair per share and the rows of the results."""
     Q, n_out, n_in = model.Q, len(B_out), len(D_in)
-    row_bytes = Q * n_in * 16
-    budget = BLOCK_BYTES if n_out * row_bytes <= BLOCK_BYTES else BLOCK_BYTES // n_lanes
-    blocks = threads.blocks(n_out, row_bytes, budget)
-    n_lanes = min(n_lanes, len(blocks))
-    shape = (blocks[0].stop, n_in, Q)  # the first block is a longest one
-    buffers = [(np.empty(shape, complex), np.empty(shape, complex)) for _ in range(n_lanes)]
-    B_w = np.multiply(model.w, B_out)
-    D_conj = np.conj(D_in)
+    shares = threads.shares(threads.blocks(n_out, Q * n_in * 16, BLOCK_BYTES))
+    shape = (shares[0][0].stop, n_in, Q)  # the first block is a longest one
+    buffers = [(np.empty(shape, complex), np.empty(shape, complex)) for _ in shares]
+    B_w, D_conj = np.multiply(model.w, B_out), np.conj(D_in)
     q_pow = _q_power(Q, alpha, star)
     summed = [np.empty((n_out, Q), complex) for _ in weighted]
 
     def lane(k):
         product, tensor = buffers[k]
-        for rows in blocks[k::n_lanes]:
+        for rows in shares[k]:
             n = rows.stop - rows.start
             C = coupling_tensor(B_w[rows], D_conj, q_pow, product[:n], tensor[:n])
             for w, s in zip(weighted, summed):
                 np.einsum("gex,ex->gx", C, w, out=s[rows])
 
-    threads.side_by_side(lane, n_lanes)
+    threads.side_by_side(lane, len(shares))
     return summed
 
 
@@ -315,13 +305,11 @@ def _delta(model: ModelProblem, syms: Sequence[Symbol], alpha: int,
     symbol under ("Delta" or "Delta~", alpha, model token).  The coupling
     tensor depends on the window but not on the symbol, so it serves every
     symbol that misses the cache over the same input margin.  It is built
-    and contracted in blocks of output rows xi (`_coupled_rows`): all
-    lanes' blocks together take at most BLOCK_BYTES, in arrays the calling
-    thread owns, and none is kept.  Every block is built from the whole
-    window's w·b, conj(d) and q^alpha by the same operations, in the same
-    order, as those rows of the whole tensor, and contracted into its own
-    rows of the result.  That the BLAS product then gives each row the same
-    bits is pinned by the tests.
+    and contracted in blocks of output rows xi (`_coupled_rows`), none
+    kept, each from the whole window's w·b, conj(d) and q^alpha by the same
+    operations, in the same order, as those rows of the whole tensor, and
+    contracted into its own rows of the result.  That the BLAS product then
+    gives each row the same bits is pinned by the tests.
 
     A symbol whose input table is identically zero has Delta^alpha = 0: it
     gets a zero table with the margin, order, name and cache entry of any

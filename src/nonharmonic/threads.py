@@ -1,4 +1,4 @@
-"""The thread setting, read in one place, and the lanes that share work.
+"""The thread setting, read in one place, and the plan of the lanes.
 
 A lane is one BLAS thread.  NONHARMONIC_THREADS=k runs k lanes: the lanes
 compute the row blocks of a difference operator, or invert the contour
@@ -11,7 +11,10 @@ run writes the same bytes at every setting.  A library caller that loads
 numpy itself should set OPENBLAS_NUM_THREADS=1 first, for the CLI's bytes
 and so that the lanes do not each start a BLAS thread per core.
 
-This module loads no numpy.
+No other module reads the lane count: a caller states its rows, their
+bytes and its budget, the bytes all lanes hold at once, and gets its
+blocks (`blocks`) and each lane's share of them (`shares`).  This module
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -62,24 +65,32 @@ def lanes() -> int:
     return setting() or usable_cores()
 
 
-def blocks(n_rows: int, row_bytes: int, block_bytes: int) -> list:
-    """Consecutive slices of range(n_rows), each at most block_bytes (and at
-    least one row) long: the units of work the lanes share."""
-    step = max(1, block_bytes // row_bytes)
+def blocks(n_rows: int, row_bytes: int, budget: int) -> list:
+    """Consecutive slices of range(n_rows): one block if every row fits in
+    `budget`, the bytes all lanes hold at once, else blocks of at most
+    budget // lanes() bytes, each at least one row long."""
+    if n_rows * row_bytes > budget:
+        budget //= lanes()
+    step = max(1, budget // row_bytes)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def shares(blocks: list) -> list:
+    """One share of `blocks` per lane, n = min(lanes(), len(blocks)) of them:
+    lane k takes the k-th block and every n-th after it."""
+    n = min(lanes(), len(blocks))
+    return [blocks[k::n] for k in range(n)]
 
 
 def side_by_side(work, n_items: int, use=lambda i, result: None) -> None:
     """use(i, work(i)) for i = 0..n_items-1, in order, on the calling thread.
-    The work runs on n = min(lanes(), n_items) lanes: the calling thread
-    runs every item i with i % n == 0 and a pool of n - 1 threads the
-    others, item i + n going to the pool when item i is read, so at most n
-    results are alive.  An exception from any item reaches the caller once
-    the pool has ended, and a helper item runs in a copy of the caller's
-    context, so its np.errstate holds on every lane.  One lane is a plain
-    loop, which loads no concurrent.futures.  Delta^alpha's items are its
-    lanes, not its blocks: a lane's blocks share its buffers, and two could
-    run at once as items.  The contour's items are its node blocks."""
+    With n = min(lanes(), n_items), the calling thread runs every n-th item
+    from the first and a pool of n - 1 threads the others, item i + n going
+    to the pool when item i is read, so at most n results are alive.  An
+    exception from any item reaches the caller once the pool has ended; a
+    helper item runs in a copy of the caller's context, so its np.errstate
+    holds on every lane.  One lane is a plain loop, which loads no
+    concurrent.futures.  The items are a caller's blocks or shares."""
     n = min(lanes(), n_items)
     if n <= 1:
         for i in range(n_items):

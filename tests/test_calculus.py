@@ -366,11 +366,13 @@ LANE_CONTOURS = {"circle_7": Contour.circle(center=65.0, radius=150.0, n=7),
 
 
 def set_nodes_per_block(monkeypatch, model, nodes):
-    """Lower the node budget of dunford_riesz_many to `nodes` inverses per block."""
+    """Lower the node budget of dunford_riesz_many, the inverses of all
+    lanes together, to `nodes` inverses per block at the lanes set."""
     from nonharmonic import calculus
+    from nonharmonic.threads import lanes
 
     n = 2 * model.N + 1
-    monkeypatch.setattr(calculus, "NODE_BLOCK_BYTES", nodes * n * n * 16)
+    monkeypatch.setattr(calculus, "NODE_BLOCK_BYTES", lanes() * nodes * n * n * 16)
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
@@ -401,8 +403,9 @@ def test_node_blocks_on_every_lane_equal_the_per_function_loop(models, monkeypat
 @pytest.fixture
 def live_inverses(monkeypatch):
     """Every inverse computed while the test runs, as weak references; each
-    inversion first checks that fewer than `lanes` blocks of inverses are
-    alive, so at most `lanes` blocks ever are."""
+    inversion first checks that the inverses alive leave room for one more
+    within NODE_BLOCK_BYTES, or within one node per lane where a node
+    exceeds a lane's part of the budget, so no more are ever alive."""
     import threading
     import weakref
 
@@ -413,8 +416,8 @@ def live_inverses(monkeypatch):
 
     def counted(A):
         with lock:
-            per_block = max(1, calculus.NODE_BLOCK_BYTES // A.nbytes)
-            assert sum(ref() is not None for ref in refs) < lanes() * per_block
+            bound = max(calculus.NODE_BLOCK_BYTES // A.nbytes, lanes())
+            assert sum(ref() is not None for ref in refs) < bound
         X = inv(A)
         with lock:
             refs.append(weakref.ref(X if X.base is None else X.base))
@@ -424,7 +427,7 @@ def live_inverses(monkeypatch):
     return refs
 
 
-@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("lanes", [1, 2, 4])
 @pytest.mark.parametrize("nodes_per_block", [1, 3])
 def test_at_most_one_node_block_per_lane_is_alive(hmodel, monkeypatch, live_inverses,
                                                   nodes_per_block, lanes):
@@ -435,6 +438,52 @@ def test_at_most_one_node_block_per_lane_is_alive(hmodel, monkeypatch, live_inve
     dunford_riesz_many(hmodel, a, [make_scalar_function("inverse")], contour)
     assert len(live_inverses) == len(contour.nodes)
     assert all(ref() is None for ref in live_inverses)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+def test_the_shipped_node_budget_holds_at_every_lane_count(hmodel, monkeypatch, live_inverses,
+                                                           lanes):
+    from nonharmonic import calculus
+
+    use_lanes(monkeypatch, lanes)
+    a = make_symbol("x_modulated_bracket", power=2.0)
+    contour = Contour.default_keyhole(hmodel, a, nodes_per_segment=25)
+    n = 2 * hmodel.N + 1
+    assert len(contour.nodes) * n * n * 16 > calculus.NODE_BLOCK_BYTES  # several blocks
+    dunford_riesz_many(hmodel, a, [make_scalar_function("inverse")], contour)
+    assert len(live_inverses) == len(contour.nodes)
+
+
+@pytest.mark.parametrize("lanes", [2, 4])
+def test_a_contour_within_the_budget_runs_on_the_calling_thread(lanes):
+    # 100 inverses of 17 x 17 complex matrices take 462 KB, within 512 KiB
+    import os
+    import subprocess
+    import sys
+
+    from nonharmonic.threads import BLAS_VARIABLES, VARIABLE
+
+    script = "\n".join([
+        "import sys, threading",
+        "import numpy as np",
+        "from nonharmonic import calculus",
+        "from nonharmonic.calculus import Contour, dunford_riesz_many, make_scalar_function",
+        "from nonharmonic.model import ModelSpec, build_model",
+        "from nonharmonic.symbols import make_symbol",
+        "model = build_model(ModelSpec(kind='torus_derivative', N=8, Q=64))",
+        "a = make_symbol('bracket_power', power=2.0)",
+        "contour = Contour.default_keyhole(model, a, nodes_per_segment=25)",
+        "assert len(contour.nodes) * 17 * 17 * 16 <= calculus.NODE_BLOCK_BYTES",
+        "inv, callers = np.linalg.inv, set()",
+        "np.linalg.inv = lambda A: callers.add(threading.get_ident()) or inv(A)",
+        "dunford_riesz_many(model, a, [make_scalar_function('inverse')], contour)",
+        "assert callers == {threading.get_ident()}, callers",
+        "assert 'concurrent.futures' not in sys.modules",
+    ])
+    env = {k: v for k, v in os.environ.items() if k not in (VARIABLE, *BLAS_VARIABLES)}
+    env.update({VARIABLE: str(lanes), "OPENBLAS_NUM_THREADS": "1"})
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("lanes", [1, 2])

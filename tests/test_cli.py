@@ -230,6 +230,72 @@ def test_parametrix_takes_no_type_parameters(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, mode", [("u0_mode", 40), ("u0_mode", 129), ("u0_mode", -17),
+                                       ("forcing_mode", 17)])
+def test_evolve_mode_outside_the_window_exits_2_before_any_output(tmp_path, capsys, key, mode):
+    # the coefficients are -16..16: mode 40 is ~0 in them, and mode 129
+    # aliases to mode 1 on the 128-point grid
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "evolve.json"
+    doc = json.loads(shipped.read_text())
+    doc["params"][key] = mode
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid config: params.{key}: mode {mode} is outside -N..N, N = 16\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_evolve_modes_on_the_window_edge_run(tmp_path, capsys):
+    doc = {"model": BASE_MODEL, "task": "evolve",
+           "params": {"generator": {"name": "bracket_power", "power": 2.0, "scale": -1.0},
+                      "steps": 20, "u0_mode": -8, "forcing_mode": 8}}
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out")) == 0
+    # N = 0 holds only mode 0, not the default u0 mode 1
+    doc = {"model": {"kind": "torus_derivative", "N": 0, "Q": 16}, "task": "evolve",
+           "params": {"generator": doc["params"]["generator"]}}
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "zero")) == 2
+    assert capsys.readouterr().err.endswith("params.u0_mode: mode 1 is outside -N..N, N = 0\n")
+    assert not (tmp_path / "zero").exists()
+
+
+def test_model_check_tail_s_sets_the_fitted_decay(tmp_path):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "model_check.json"
+    doc = json.loads(shipped.read_text())
+    decays = []
+    for s in (2.0, 3.0):
+        doc["params"] = {"tail_s": s}
+        assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / str(s))) == 0
+        summary = json.loads((tmp_path / str(s) / "summary.json").read_text())["summary"]
+        decays.append(summary["tail_fitted_decay"])
+    # the increments <k>^-s decay like k^-s
+    assert decays[0] == pytest.approx(2.0, abs=0.01) and decays[1] == pytest.approx(3.0, abs=0.01)
+
+
+def test_x_modulated_bracket_amplitude_moves_the_csv(tmp_path):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "l2norm.json"
+    doc = json.loads(shipped.read_text())
+    assert doc["params"]["symbol"]["name"] == "x_modulated_bracket"
+    csv_bytes = {}
+    for amplitude in (None, 0.5, 0.25):  # the default is 0.5
+        if amplitude is not None:
+            doc["params"]["symbol"]["amplitude"] = amplitude
+        out = tmp_path / str(amplitude)
+        assert run(write_config(tmp_path, doc), out_dir=str(out)) == 0
+        csv_bytes[amplitude] = (out / "l2norm.csv").read_bytes()
+    assert csv_bytes[0.5] == csv_bytes[None] != csv_bytes[0.25]
+
+
+def test_l2norm_max_growth_flips_the_verdict(tmp_path):
+    # the shipped config's norms grow by ~1.0e-3 from N = 16 to N = 32
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "l2norm.json"
+    doc = json.loads(shipped.read_text())
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "shipped")) == 0
+    doc["params"]["max_growth"] = 1e-4
+    assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "tiny")) == 1
+    summary = json.loads((tmp_path / "tiny" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["summary"]["relative_growth_last_two"] > 1e-4
+
+
 def test_symbol_order_delta_weighs_the_seminorms(tmp_path):
     shipped = Path(__file__).resolve().parent.parent / "configs" / "symbol_order.json"
     assert run(str(shipped), out_dir=str(tmp_path / "default")) == 0

@@ -50,3 +50,15 @@ def test_evolution_solves_its_step_systems_in_one_place():
     # every implicit step of every walk, of every column, is one factorization there
     assert [site for site in sites("solve") if site[0] == "evolve.py"] == [
         ("evolve.py", "implicit_step")]
+
+
+def test_only_threads_reads_the_lane_count():
+    # every other module takes its blocks and shares from `threads`
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "lanes"
+                    or isinstance(node, ast.Name) and node.id == "lanes"
+                    or isinstance(node, ast.alias) and node.name == "lanes"):
+                readers.add(path.name)
+    assert readers == {"threads.py"}

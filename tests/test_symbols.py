@@ -682,6 +682,32 @@ def test_two_lanes_share_one_block_budget(models, monkeypatch, live_blocks, op):
     assert len(live_blocks) == -(-(2 * (m.N + DEFAULT_MARGIN) - 1) // 4)  # 4 rows a block
 
 
+def test_a_three_block_window_runs_on_three_of_four_lanes(monkeypatch, live_blocks):
+    import threading
+
+    import nonharmonic.symbols as symbols
+
+    m = build_model(ModelSpec(kind="h_derivative", N=1, Q=32, h=2.0))
+    monkeypatch.setattr(symbols, "BLOCK_BYTES", 1)  # one row per block
+    alpha = DEFAULT_MARGIN  # three output rows, xi = -1..1: three blocks
+    use_lanes(monkeypatch, 1)
+    one_lane = apply_Delta(m, make_symbol("x_modulated_bracket", power=1.0), alpha)
+    use_lanes(monkeypatch, 4)
+    build, callers, met = symbols.coupling_tensor, [], threading.Barrier(3)
+
+    def together(*args):  # each lane builds its one block while the others build theirs
+        callers.append(threading.get_ident())
+        C = build(*args)
+        met.wait(timeout=30)
+        return C
+
+    monkeypatch.setattr(symbols, "coupling_tensor", together)
+    live_blocks.clear()
+    got = apply_Delta(m, make_symbol("x_modulated_bracket", power=1.0), alpha)
+    assert len(live_blocks) == 3 and len(set(callers)) == 3
+    assert np.array_equal(got.table(m, got.margin), one_lane.table(m, one_lane.margin))
+
+
 @pytest.mark.parametrize("threads", [{"OPENBLAS_NUM_THREADS": "1", "NONHARMONIC_THREADS": "2"},
                                      {"NONHARMONIC_THREADS": "2"}],
                          ids=["two_lanes", "blas_threads"])

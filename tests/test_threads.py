@@ -80,6 +80,34 @@ def test_record_names_the_lanes_and_every_thread_variable(monkeypatch):
     assert set(rec) == {"lanes", threads.VARIABLE, *threads.BLAS_VARIABLES}
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+def test_blocks_are_one_if_every_row_fits_else_the_budget_over_the_lanes(monkeypatch, lanes):
+    use_lanes(monkeypatch, lanes)
+
+    def steps(n_rows, row_bytes, budget):
+        got = threads.blocks(n_rows, row_bytes, budget)
+        assert [b.start for b in got] == [0] + [b.stop for b in got[:-1]]  # consecutive
+        assert got[-1].stop == n_rows
+        return [b.stop - b.start for b in got]
+
+    assert steps(10, 8, 80) == [10]  # every row fits: one block at any lane count
+    assert steps(10, 8, 79) == {1: [9, 1], 2: [4, 4, 2], 4: [2, 2, 2, 2, 2]}[lanes]
+    assert steps(3, 8, 1) == [1, 1, 1]  # at least one row a block
+    assert threads.blocks(0, 8, 80) == []
+
+
+@pytest.mark.parametrize("lanes, n_blocks, expected", [
+    (1, 3, [[0, 1, 2]]),
+    (2, 5, [[0, 2, 4], [1, 3]]),
+    (4, 3, [[0], [1], [2]]),  # never more shares than blocks
+    (2, 0, []),
+])
+def test_shares_deal_the_blocks_out_round_robin(monkeypatch, lanes, n_blocks, expected):
+    use_lanes(monkeypatch, lanes)
+    blocks = [slice(i, i + 1) for i in range(n_blocks)]
+    assert [[b.start for b in share] for share in threads.shares(blocks)] == expected
+
+
 @pytest.mark.parametrize("n_items", [0, 1, 3, 10])
 @pytest.mark.parametrize("lanes", [1, 2, 4])
 def test_side_by_side_uses_every_item_once_in_order(monkeypatch, lanes, n_items):

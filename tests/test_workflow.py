@@ -1,8 +1,11 @@
 """The CI workflow cannot run here, so its ties to the repository are
-checked offline: the paths it names exist, and its lowest Python is the
-floor that pyproject.toml declares."""
+checked offline: the paths it names exist, its lowest Python is the
+floor that pyproject.toml declares, and it installs what perfbench
+imports."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +34,31 @@ def test_lowest_workflow_python_is_the_requires_python_floor():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', pyproject, re.M)
     assert versions and min(versions) == tuple(map(int, floor.groups()))
+
+
+def _requirement_names(requirements) -> set:
+    """The distribution names of requirement strings such as "numpy>=2.0"."""
+    return {re.match(r"[A-Za-z0-9_.-]*", req).group(0).lower() for req in requirements}
+
+
+def test_every_module_perfbench_imports_is_installed():
+    # the self-tests start workers that import what every perfbench script does
+    scripts = sorted((ROOT / "perfbench").rglob("*.py"))
+    imported = set()
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {path.stem for path in scripts} | {"nonharmonic"}
+    third_party = imported - local - set(sys.stdlib_module_names)
+    assert {"numpy", "scipy"} <= third_party
+    install = re.search(r"pip install (.*)", WORKFLOW).group(1).replace('"', "").split()
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    dependencies = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.M | re.S).group(1)
+    extras = re.search(r"^\[project\.optional-dependencies\]\n(.*?)^\[", pyproject,
+                       re.M | re.S).group(1)
+    installed = (_requirement_names(t for t in install if not t.startswith((".", "-")))
+                 | _requirement_names(re.findall(r'"([^"]+)"', dependencies + extras)))
+    assert sorted(third_party - installed) == []
